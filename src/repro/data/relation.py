@@ -14,8 +14,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dft import dft
-
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
@@ -42,14 +40,21 @@ class SequenceRelation:
         cls,
         matrix: ArrayLike,
         names: Optional[Sequence[str]] = None,
+        attrs: Optional[Sequence[dict]] = None,
     ) -> "SequenceRelation":
-        """Build a relation from an ``(m, n)`` matrix of sequences."""
-        rows = np.asarray(matrix, dtype=np.float64)
+        """Build a relation from an ``(m, n)`` matrix; the rows view one cached copy of it."""
+        rows = np.array(matrix, dtype=np.float64, order="C")
         if rows.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {rows.shape}")
+        m = rows.shape[0]
+        for label, values in (("names", names), ("attrs", attrs)):
+            if values is not None and len(values) != m:
+                raise ValueError(f"{label} has {len(values)} entries for {m} rows")
         rel = cls(rows.shape[1])
-        for i, row in enumerate(rows):
-            rel.add(row, name=None if names is None else names[i])
+        rel._rows = list(rows)
+        rel._names = [f"seq{i}" for i in range(m)] if names is None else list(names)
+        rel._attrs = [{} if attrs is None else dict(attrs[i]) for i in range(m)]
+        rel._matrix = rows
         return rel
 
     def add(
@@ -143,7 +148,3 @@ class SequenceRelation:
     def _check(self, record_id: int) -> None:
         if not 0 <= record_id < len(self._rows):
             raise KeyError(f"record id {record_id} out of range [0, {len(self._rows)})")
-
-    @staticmethod
-    def _unitary(x: np.ndarray) -> np.ndarray:
-        return dft(x)

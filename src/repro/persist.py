@@ -282,13 +282,11 @@ def load_engine(
         ) from exc
 
     try:
-        relation = SequenceRelation(
-            matrix.shape[1] if matrix.size else meta["space"]["n"]
+        relation = SequenceRelation.from_matrix(
+            matrix if len(matrix) else np.empty((0, meta["space"]["n"])),
+            names=rel_meta["names"],
+            attrs=rel_meta["attrs"],
         )
-        for i in range(matrix.shape[0]):
-            relation.add(
-                matrix[i], name=rel_meta["names"][i], **rel_meta["attrs"][i]
-            )
         space = _space_from_meta(meta["space"])
     except PersistError:
         raise
@@ -320,16 +318,13 @@ def load_engine(
     engine.relation = relation
     engine.space = space
     engine.stats = tree.store.stats
-    engine.points = (
-        space.extract_many(relation.matrix)
-        if len(relation)
-        else np.empty((0, space.dim))
-    )
-    engine.ground_spectra = (
-        np.stack([space.series_spectrum(row) for row in relation.matrix])
-        if len(relation)
-        else np.empty((0, relation.length), dtype=np.complex128)
-    )
+    if len(relation):
+        engine.points, engine.ground_spectra = space.extract_many_with_spectra(
+            relation.matrix
+        )
+    else:
+        engine.points = np.empty((0, space.dim))
+        engine.ground_spectra = np.empty((0, relation.length), dtype=np.complex128)
     engine.tree = tree
 
     if index_detail is not None:

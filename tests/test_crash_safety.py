@@ -345,6 +345,22 @@ class TestLegacyImages:
         with pytest.raises(CorruptIndexError):
             load_engine(directory, strict=True)
 
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["fewer", "more"])
+    def test_legacy_names_count_mismatch_is_typed(self, tmp_path, delta):
+        """A names list that disagrees with the row count is a PersistError."""
+        import json
+
+        directory = str(tmp_path / "legacy")
+        save_engine(build_engine(seed=4), directory, manifest=False)
+        path = os.path.join(directory, "relation.json")
+        with open(path) as f:
+            doc = json.load(f)
+        doc["names"] = doc["names"][:delta] if delta < 0 else doc["names"] + ["extra"]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(PersistError, match="malformed"):
+            load_engine(directory)
+
 
 class TestFailpointRegistry:
     def test_clear_after_context(self):

@@ -163,6 +163,30 @@ class TestPersistence:
         for key, arr in refrozen.to_arrays().items():
             assert np.array_equal(saved_kernel.to_arrays()[key], arr), key
 
+    @pytest.mark.parametrize(
+        "space",
+        [None, PlainDFTSpace(32, 3, coord="rect"), PlainDFTSpace(32, 3, coord="polar")],
+        ids=["normal-form", "plain-rect", "plain-polar"],
+    )
+    def test_loaded_points_and_spectra_bit_identical(self, tmp_path, space):
+        """Load rebuilds both arrays through the build's own batched pipeline."""
+        rel = SequenceRelation.from_matrix(random_walks(60, 32, seed=29))
+        engine = SimilarityEngine(rel, space=space)
+        save_engine(engine, str(tmp_path / "e"))
+        loaded = load_engine(str(tmp_path / "e"))
+        assert np.array_equal(loaded.points, engine.points)
+        assert np.array_equal(loaded.ground_spectra, engine.ground_spectra)
+
+    def test_empty_relation_round_trips(self, tmp_path):
+        engine = SimilarityEngine(SequenceRelation(32))
+        save_engine(engine, str(tmp_path / "e"))
+        loaded = load_engine(str(tmp_path / "e"))
+        assert len(loaded.relation) == 0 and loaded.relation.length == 32
+        assert loaded.points.shape == (0, loaded.space.dim)
+        assert loaded.points.dtype == np.float64
+        assert loaded.ground_spectra.shape == (0, 32)
+        assert loaded.ground_spectra.dtype == np.complex128
+
     def test_relation_metadata_survives(self, saved):
         engine, path = saved
         loaded = load_engine(path)

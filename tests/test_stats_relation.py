@@ -130,6 +130,66 @@ class TestSequenceRelation:
             SequenceRelation(1)
 
 
+class TestFromMatrix:
+    def test_input_mutation_does_not_leak(self):
+        data = random_walks(4, 8, seed=4)
+        rel = SequenceRelation.from_matrix(data)
+        before = data.copy()
+        data[:] = -1.0
+        assert np.array_equal(rel.matrix, before)
+        assert np.array_equal(rel.get(2), before[2])
+
+    def test_matrix_is_cached_and_rows_agree(self):
+        data = random_walks(5, 8, seed=5)
+        rel = SequenceRelation.from_matrix(data)
+        assert rel.matrix is rel.matrix
+        assert rel.matrix.flags.c_contiguous
+        for rid, row in rel:
+            assert np.array_equal(row, data[rid])
+
+    def test_add_after_from_matrix_grows_matrix(self):
+        rel = SequenceRelation.from_matrix(random_walks(3, 8, seed=6))
+        first = rel.matrix
+        rid = rel.add(np.arange(8, dtype=float), name="extra")
+        assert rid == 3
+        assert rel.matrix.shape == (4, 8)
+        assert np.array_equal(rel.matrix[:3], first)
+        assert np.array_equal(rel.matrix[3], np.arange(8.0))
+        assert rel.name(3) == "extra"
+
+    def test_default_names(self):
+        rel = SequenceRelation.from_matrix(random_walks(3, 8, seed=7))
+        assert [rel.name(i) for i in range(3)] == ["seq0", "seq1", "seq2"]
+        assert all(rel.attrs(i) == {} for i in range(3))
+
+    def test_names_and_attrs_round_trip(self):
+        attrs = [{"sector": "TECH"}, {}, {"beta": 1.5}]
+        rel = SequenceRelation.from_matrix(
+            random_walks(3, 8, seed=8), names=["a", "b", "c"], attrs=attrs
+        )
+        assert [rel.name(i) for i in range(3)] == ["a", "b", "c"]
+        assert [rel.attrs(i) for i in range(3)] == attrs
+        attrs[0]["sector"] = "ENERGY"
+        assert rel.attrs(0) == {"sector": "TECH"}
+
+    @pytest.mark.parametrize("field", ["names", "attrs"])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_length_mismatch_rejected(self, field, count):
+        values = [f"s{i}" for i in range(count)] if field == "names" else [{}] * count
+        with pytest.raises(ValueError, match=field):
+            SequenceRelation.from_matrix(random_walks(3, 8, seed=9), **{field: values})
+
+    def test_empty_matrix(self):
+        rel = SequenceRelation.from_matrix(np.empty((0, 8)))
+        assert len(rel) == 0
+        assert rel.matrix.shape == (0, 8)
+        assert rel.spectra.shape == (0, 8)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            SequenceRelation.from_matrix(np.arange(8.0))
+
+
 class TestSyntheticWalks:
     def test_shape_and_determinism(self):
         a = random_walks(10, 32, seed=5)

@@ -220,63 +220,6 @@ def bench_all_pairs(matrix: np.ndarray, eps: float) -> dict:
     return out
 
 
-def bench_parallel(
-    engine: SimilarityEngine, queries: np.ndarray, pairs_engine: SimilarityEngine
-) -> dict:
-    """Sharded kernel execution vs the serial kernel on identical batches.
-
-    Times the three executor-dispatched paths — fused range batch, fused
-    k-NN batch and the index join — once with a single-worker executor
-    (the serial kernel, no thread pool) and once with ``workers="auto"``
-    (one worker per CPU).  ``speedup`` is serial / auto; on a single-core
-    host auto resolves to one worker and the ratio sits at ~1.0, which is
-    exactly what the regression gate should then hold it to.
-    """
-    from repro.rtree.parallel import KernelExecutor
-
-    serial = KernelExecutor(workers=1)
-    auto = KernelExecutor(workers="auto")
-
-    def with_executor(eng: SimilarityEngine, executor, fn):
-        prev = eng.executor
-        eng._executor = executor
-        try:
-            return fn()
-        finally:
-            eng._executor = prev
-
-    # Returned as three top-level report families so the regression
-    # gate's ``--require parallel_range`` prefix checks see them.
-    out: dict = {}
-    paths = {
-        "parallel_range": (
-            engine, lambda: engine.range_query_batch(queries, RANGE_EPS)
-        ),
-        "parallel_knn_batch": (
-            engine, lambda: engine.knn_query_batch(queries, KNN_K)
-        ),
-        "parallel_join": (
-            pairs_engine, lambda: pairs_engine.all_pairs(JOIN_EPS, method="index")
-        ),
-    }
-    for name, (eng, fn) in paths.items():
-        timed = lambda fn=fn: _timed(fn, repeats=2)  # noqa: E731 — rebind per family
-        # Untimed warm-up: the serial side is measured first, and on a
-        # cold path (page cache, allocator, FFT plans) it would otherwise
-        # eat the warm-up cost and inflate the committed ratio.
-        with_executor(eng, serial, fn)
-        serial_s = with_executor(eng, serial, timed)
-        auto_s = with_executor(eng, auto, timed)
-        out[name] = {
-            "workers": auto.workers,
-            "serial_s": serial_s,
-            "auto_s": auto_s,
-            "speedup": serial_s / auto_s,
-        }
-    auto.shutdown()
-    return out
-
-
 def bench_persist(engine: SimilarityEngine) -> tuple[dict, dict]:
     """Validated (manifest + crc32) persistence vs the plain image write.
 
@@ -407,21 +350,6 @@ def main() -> None:
              ap["scan_abandon"]["scalar_s"] / ap["index_join"]["recursive_s"]),
             ("index join kernel", ap["index_join"]["kernel_s"],
              ap["scan_abandon"]["scalar_s"] / ap["index_join"]["kernel_s"]),
-        ],
-    )
-
-    pairs_engine = SimilarityEngine(
-        SequenceRelation.from_matrix(matrix[: args.pairs])
-    )
-    report.update(bench_parallel(engine, queries, pairs_engine))
-    print_series(
-        f"Sharded kernel execution (auto = "
-        f"{report['parallel_range']['workers']} worker(s))",
-        ["path", "serial", "auto", "speedup"],
-        [
-            (name.removeprefix("parallel_"), report[name]["serial_s"],
-             report[name]["auto_s"], report[name]["speedup"])
-            for name in ("parallel_range", "parallel_knn_batch", "parallel_join")
         ],
     )
 

@@ -21,7 +21,7 @@ import re
 from typing import Iterable
 
 #: Scope names accepted by ``module-contract(...)`` markers.
-SCOPES = ("hot-path", "backend", "kernel", "storage", "serial", "parallel")
+SCOPES = ("hot-path", "backend", "kernel", "storage")
 
 #: REP001 — modules whose loops must be vectorized (reference modules,
 #: e.g. ``rtree/search.py`` and ``dft/reference.py``, are deliberately
@@ -40,29 +40,11 @@ HOT_PATH_SUFFIXES: tuple[str, ...] = (
 BACKEND_SUFFIXES: tuple[str, ...] = HOT_PATH_SUFFIXES + (
     "repro/rtree/geometry.py",
     "repro/rtree/bulk.py",
-    "repro/rtree/parallel.py",
     "repro/core/features.py",
 )
 
 #: The one module allowed to import numpy for the numeric layer.
 BACKEND_SHIM_SUFFIX = "repro/rtree/backend.py"
-
-#: REP007 — the one module allowed to name threading primitives
-#: (``threading`` / ``concurrent.futures`` / ``multiprocessing``).  All
-#: concurrency lives behind this seam; everything else stays
-#: schedule-free so the kernel's determinism arguments hold.
-PARALLEL_SEAM_SUFFIX = "repro/rtree/parallel.py"
-
-#: Package fragment REP007 covers: every engine module is serial by
-#: default (fixtures opt in with a ``serial`` marker instead).
-SERIAL_PACKAGE_FRAGMENT = "repro/"
-
-#: REP008 — the functions allowed to interact with pool futures directly
-#: (``Future.result()``, blocking waits).  Everything else in the
-#: parallel seam must route through them, so worker failures always meet
-#: the supervisor's watchdog/retry/circuit-breaker machinery instead of
-#: surfacing as bare result loops or silently dropped futures.
-SUPERVISOR_FUNCTIONS: frozenset[str] = frozenset({"KernelExecutor._run"})
 
 #: REP004 + REP005 (frontier half) — kernel modules: no recursion, and
 #: every frontier loop checks its ResourceBudget.
@@ -139,11 +121,6 @@ _MARKER_RE = re.compile(
 #: (fixture support for REP005's validation half).
 _ENTRY_MARKER_RE = re.compile(r"#\s*repro:\s*query-entry\b")
 
-#: Marker registering the *next* ``def`` as a pool supervisor (fixture
-#: support for REP008; the in-tree supervisor is listed in
-#: :data:`SUPERVISOR_FUNCTIONS`).
-_SUPERVISOR_MARKER_RE = re.compile(r"#\s*repro:\s*supervisor\b")
-
 
 def _norm(path: str) -> str:
     return path.replace("\\", "/")
@@ -191,35 +168,6 @@ def is_kernel(path: str, source: str) -> bool:
     return _in_scope(path, source, KERNEL_SUFFIXES, "kernel")
 
 
-def is_parallel_seam(path: str) -> bool:
-    """True for the one module allowed to import threading machinery."""
-    return _norm(path).endswith(PARALLEL_SEAM_SUFFIX)
-
-
-def is_parallel_scoped(path: str, source: str) -> bool:
-    """REP008 scope: modules whose pool interactions must be supervised.
-
-    The parallel seam itself, plus any module (the rule fixtures) opting
-    in with a ``# repro: module-contract(parallel)`` marker.
-    """
-    return is_parallel_seam(path) or "parallel" in declared_scopes(source)
-
-
-def is_serial_scoped(path: str, source: str) -> bool:
-    """REP007 scope: modules that must stay free of threading primitives.
-
-    Everything in the engine package except the parallel seam itself;
-    out-of-tree modules (and the rule fixtures) opt in with a
-    ``# repro: module-contract(serial)`` marker.
-    """
-    if is_parallel_seam(path):
-        return False
-    norm = _norm(path)
-    if SERIAL_PACKAGE_FRAGMENT in norm and not is_linter_source(path):
-        return True
-    return "serial" in declared_scopes(source)
-
-
 def is_storage(path: str, source: str) -> bool:
     """REP006 scope: storage / persistence modules."""
     return _in_scope(path, source, STORAGE_SUFFIXES, "storage")
@@ -245,14 +193,5 @@ def entry_marker_lines(source: str) -> frozenset[int]:
     out: set[int] = set()
     for lineno, line in enumerate(source.splitlines(), start=1):
         if _ENTRY_MARKER_RE.search(line):
-            out.add(lineno)
-    return frozenset(out)
-
-
-def supervisor_marker_lines(source: str) -> frozenset[int]:
-    """1-based line numbers carrying a ``supervisor`` marker (REP008)."""
-    out: set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if _SUPERVISOR_MARKER_RE.search(line):
             out.add(lineno)
     return frozenset(out)

@@ -1,4 +1,4 @@
-"""The project's contract rules, REP001–REP008.
+"""The project's contract rules, REP001–REP006.
 
 Each rule is a function from ``(tree, source, path)`` to violations,
 registered with the engine; module scoping comes from
@@ -17,12 +17,6 @@ REP004    no recursion in kernel modules (frontier loops are iterative)
 REP005    kernel frontier loops check their ResourceBudget; public query
           entries validate NaN/inf
 REP006    no bare/swallowed broad ``except`` in storage paths
-REP007    threading primitives (``threading`` / ``concurrent.futures`` /
-          ``multiprocessing``) live only behind the parallel seam
-          (``rtree/parallel.py``)
-REP008    pool interactions in the parallel seam route through the
-          execution supervisor — no bare ``Future.result()`` outside
-          it, no fire-and-forget ``submit`` whose exceptions are lost
 ========  ==============================================================
 """
 
@@ -448,128 +442,3 @@ def rep006_typed_storage_errors(
             f"storage path; either catch a typed error or end the "
             f"handler by raising one",
         )
-
-
-# ----------------------------------------------------------------------
-# REP007 — concurrency lives only behind the parallel seam
-# ----------------------------------------------------------------------
-#: Top-level modules whose import marks a file as threading-aware.
-_THREADING_MODULES = frozenset(
-    {"threading", "_thread", "concurrent", "multiprocessing"}
-)
-
-
-@register(
-    "REP007",
-    "threading primitives (threading/concurrent.futures/multiprocessing) "
-    "only behind the parallel seam (rtree/parallel.py)",
-)
-def rep007_parallel_seam(
-    tree: ast.Module, source: str, path: str
-) -> Iterator[Violation]:
-    if not contracts.is_serial_scoped(path, source):
-        return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _THREADING_MODULES:
-                    yield Violation(
-                        "REP007", path, node.lineno, node.col_offset,
-                        f"'import {alias.name}' outside the parallel seam; "
-                        f"route concurrency through "
-                        f"repro.rtree.parallel.KernelExecutor (or justify "
-                        f"with '# repro: allow(REP007): <reason>')",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            root = module.split(".")[0]
-            if root in _THREADING_MODULES:
-                yield Violation(
-                    "REP007", path, node.lineno, node.col_offset,
-                    f"'from {module} import ...' outside the parallel seam; "
-                    f"route concurrency through "
-                    f"repro.rtree.parallel.KernelExecutor (or justify "
-                    f"with '# repro: allow(REP007): <reason>')",
-                )
-
-
-# ----------------------------------------------------------------------
-# REP008 — pool interactions route through the execution supervisor
-# ----------------------------------------------------------------------
-def _rep008_check(
-    node: ast.AST, supervised: bool, path: str, marker_lines: frozenset[int]
-) -> Iterator[Violation]:
-    """Recursive body check; supervision is inherited by nested defs."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            child_supervised = supervised or (child.lineno - 1) in marker_lines
-            yield from _rep008_check(
-                child, child_supervised, path, marker_lines
-            )
-            continue
-        if (
-            isinstance(child, ast.Expr)
-            and isinstance(child.value, ast.Call)
-            and isinstance(child.value.func, ast.Attribute)
-            and child.value.func.attr == "submit"
-        ):
-            yield Violation(
-                "REP008", path, child.lineno, child.col_offset,
-                "fire-and-forget pool submit: the Future (and any worker "
-                "exception it carries) is dropped on the floor; keep the "
-                "future and settle it through the supervisor "
-                "(KernelExecutor._run)",
-            )
-        elif (
-            not supervised
-            and isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Attribute)
-            and child.func.attr == "result"
-        ):
-            yield Violation(
-                "REP008", path, child.lineno, child.col_offset,
-                "bare Future.result() outside the execution supervisor; "
-                "route pool waits through KernelExecutor._run so worker "
-                "failures meet the watchdog/retry/circuit-breaker "
-                "machinery (or mark a reviewed supervisor with "
-                "'# repro: supervisor')",
-            )
-        yield from _rep008_check(child, supervised, path, marker_lines)
-
-
-@register(
-    "REP008",
-    "pool interactions in the parallel seam route through the execution "
-    "supervisor — no bare Future.result(), no fire-and-forget submits",
-)
-def rep008_supervised_pool(
-    tree: ast.Module, source: str, path: str
-) -> Iterator[Violation]:
-    if not contracts.is_parallel_scoped(path, source):
-        return
-    marker_lines = contracts.supervisor_marker_lines(source)
-
-    def walk_functions(
-        node: ast.AST, prefix: str
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                supervised = (
-                    qualname in contracts.SUPERVISOR_FUNCTIONS
-                    or (child.lineno - 1) in marker_lines
-                )
-                yield from _rep008_check(
-                    child, supervised, path, marker_lines
-                )
-            elif isinstance(child, ast.ClassDef):
-                yield from walk_functions(child, f"{prefix}{child.name}.")
-            else:
-                # Module-level statements are never supervised
-                # (_rep008_check recurses, so no second walk here).
-                yield from _rep008_check(
-                    child, False, path, marker_lines
-                )
-
-    yield from walk_functions(tree, "")

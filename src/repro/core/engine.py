@@ -48,15 +48,6 @@ from repro.storage.stats import IOStats
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
-def _as_executor(spec) -> "Optional[KernelExecutor]":
-    """Coerce the ``executor=`` knob: instance, worker-count spec, or None."""
-    from repro.rtree.parallel import KernelExecutor
-
-    if spec is None or isinstance(spec, KernelExecutor):
-        return spec
-    return KernelExecutor(workers=spec)
-
-
 class SimilarityEngine:
     """Index a relation of time sequences and answer similarity queries.
 
@@ -74,11 +65,6 @@ class SimilarityEngine:
             one-by-one insertion (the paper's method; set ``False`` to
             replicate it).
         buffer_capacity: buffer-pool pages when ``paged``.
-        executor: a :class:`repro.rtree.parallel.KernelExecutor` (or a
-            worker-count spec — ``int``, ``"auto"``, ``0``) that shards
-            fused kernel batches across threads.  ``None`` reads
-            ``REPRO_KERNEL_THREADS`` lazily on first use; the default of
-            ``1`` keeps every query on today's serial path.
     """
 
     def __init__(
@@ -90,7 +76,6 @@ class SimilarityEngine:
         max_entries: int = 32,
         bulk_load: bool = True,
         buffer_capacity: int = 128,
-        executor=None,
     ) -> None:
         self.relation = relation
         self.space = (
@@ -134,7 +119,6 @@ class SimilarityEngine:
         # query-time statistics.  It refreezes lazily after any mutation.
         frozen_kernel(self.tree)
         self._estimator: Optional[SelectivityEstimator] = None
-        self._executor = _as_executor(executor)
 
     # ------------------------------------------------------------------
     # the unified plan API
@@ -149,23 +133,6 @@ class SimilarityEngine:
         if getattr(self, "_estimator", None) is None:
             self._estimator = SelectivityEstimator(self.points)
         return self._estimator
-
-    @property
-    def executor(self) -> "KernelExecutor":
-        """The engine's kernel executor (built lazily; never ``None``).
-
-        Constructed on first use so ``REPRO_KERNEL_THREADS`` is read at
-        query time rather than import time, and ``getattr`` because
-        persistence reassembles engines via ``__new__`` without running
-        ``__init__``.  With the default worker count of 1 the executor
-        delegates straight to the serial kernel — same code path, same
-        results.
-        """
-        from repro.rtree.parallel import KernelExecutor
-
-        if getattr(self, "_executor", None) is None:
-            self._executor = KernelExecutor()
-        return self._executor
 
     @property
     def kernel(self) -> FrozenRTree:
@@ -189,13 +156,8 @@ class SimilarityEngine:
         persistence layer's validation found — a failed index (queries
         degrade to the sequential scan), a failed kernel image (queries
         run the node-object reference path), or a legacy image with no
-        manifest to verify.  The ``kernel_executor`` component reports
-        the parallel layer's circuit breaker: ``degraded`` once the
-        execution supervisor has tripped it and batches run serially
-        (``executor.reset_breaker()`` restores sharding).  ``getattr``
-        defaults throughout because persistence reassembles engines via
-        ``__new__`` — and the executor is inspected without constructing
-        it, so ``health()`` stays side-effect free.
+        manifest to verify.  ``getattr`` defaults throughout because
+        persistence reassembles engines via ``__new__``.
         """
         index_failed = getattr(self, "_index_failed", None)
         kernel_disabled = getattr(self.tree, "_kernel_disabled", False)
@@ -219,24 +181,6 @@ class SimilarityEngine:
         else:
             index = ComponentHealth("index", "ok", "")
             kernel = ComponentHealth("kernel", "ok", "")
-        executor = getattr(self, "_executor", None)
-        if executor is None:
-            kernel_executor = ComponentHealth(
-                "kernel_executor", "ok", "not yet constructed (serial default)"
-            )
-        elif executor.tripped:
-            kernel_executor = ComponentHealth(
-                "kernel_executor", "degraded",
-                f"circuit breaker open, batches run serially "
-                f"({executor.breaker_reason}); reset_breaker() to restore "
-                f"sharding",
-            )
-        else:
-            kernel_executor = ComponentHealth(
-                "kernel_executor", "ok",
-                f"{executor.workers} worker(s), {executor.retries} supervised "
-                f"retries",
-            )
         return HealthReport(
             [
                 ComponentHealth(
@@ -244,7 +188,6 @@ class SimilarityEngine:
                 ),
                 index,
                 kernel,
-                kernel_executor,
                 ComponentHealth("persistence", persist_status, persist_detail),
             ]
         )
@@ -279,7 +222,6 @@ class SimilarityEngine:
         chunk: int = 16,
         max_entries: int = 32,
         build: str = "bulk",
-        executor=None,
     ):
         """An ST-index over this engine's relation (every row a series).
 
@@ -296,7 +238,6 @@ class SimilarityEngine:
         idx = STIndex(
             window, k=k, grouping=grouping, chunk=chunk,
             max_entries=max_entries, build=build,
-            executor=executor if executor is not None else self.executor,
         )
         idx.add_series_many(self.relation.matrix)
         return idx

@@ -2,9 +2,7 @@
 
 A :class:`HealthReport` summarises the trust state of an engine's
 components after a load (or a build): the relation, the node-object
-index, the frozen columnar kernel, the parallel kernel executor (whose
-execution supervisor degrades it to serial mode when its circuit breaker
-trips), and the persistence layer itself.
+index, the frozen columnar kernel, and the persistence layer itself.
 Statuses are ordered ``ok < degraded < failed``; the report's overall
 status is the worst component's.  ``engine.health()`` builds one, and the
 query language's ``HEALTH`` verb prints it as JSON.

@@ -75,19 +75,6 @@ class ExecContext:
         return None if self.engine is None else self.engine.stats
 
 
-def _live_executor(engine: Optional[Any]):
-    """The engine's *already-constructed* kernel executor, or ``None``.
-
-    Supervision capture must not construct an executor as a side effect —
-    ``SimilarityEngine.executor`` is a lazily-building property, so this
-    peeks at the backing ``_executor`` slot instead (and at the plain
-    ``executor`` attribute an ST-index carries).
-    """
-    if engine is None:
-        return None
-    return getattr(engine, "_executor", None) or engine.__dict__.get("executor")
-
-
 class Operator(ABC):
     """Base class: uniform ``execute``/``explain`` plus IOStats capture."""
 
@@ -100,22 +87,10 @@ class Operator(ABC):
         #: (``nodes_expanded`` / ``entries_scanned`` / ``frontier_peak``);
         #: ``None`` until a kernel-backed operator has run.
         self.frontier: Optional[FrontierStats] = None
-        #: what the execution supervisor had to do during the last run
-        #: (inclusive of children): serial ``retries`` of failed blocks,
-        #: ``watchdog_trips``, and whether the circuit breaker now forces
-        #: ``degraded_to_serial``.  ``None`` when nothing happened — the
-        #: overwhelmingly common case, kept out of EXPLAIN output.
-        self.supervision: Optional[dict] = None
 
     def execute(self, ctx: ExecContext) -> Any:
         """Run the operator, capturing its (inclusive) IOStats delta."""
         before = None if ctx.stats is None else ctx.stats.snapshot()
-        executor = _live_executor(ctx.engine)
-        sup_before = (
-            None
-            if executor is None
-            else (executor.retries, executor.watchdog_trips)
-        )
         result = self._execute(ctx)
         if before is not None:
             after = ctx.stats.snapshot()
@@ -124,15 +99,6 @@ class Operator(ABC):
                 for key in after
                 if after[key] - before.get(key, 0)
             }
-        if sup_before is not None:
-            retries = executor.retries - sup_before[0]
-            trips = executor.watchdog_trips - sup_before[1]
-            if retries or trips or executor.tripped:
-                self.supervision = {
-                    "retries": retries,
-                    "watchdog_trips": trips,
-                    "degraded_to_serial": executor.tripped,
-                }
         return result
 
     @abstractmethod
@@ -147,8 +113,6 @@ class Operator(ABC):
             out["io"] = self.io
         if self.frontier is not None:
             out["frontier"] = self.frontier.as_dict()
-        if self.supervision is not None:
-            out["supervision"] = self.supervision
         if self.children:
             out["children"] = [child.explain() for child in self.children]
         return out
@@ -244,8 +208,7 @@ class BatchIndexProbe(Operator):
         )
         self.frontier = FrontierStats()
         id_lists = view.search_many(
-            qlows, qhighs, fstats=self.frontier, budget=ctx.budget,
-            executor=getattr(engine, "executor", None),
+            qlows, qhighs, fstats=self.frontier, budget=ctx.budget
         )
         out = [xp.asarray(ids, dtype=xp.intp) for ids in id_lists]
         if ctx.budget is not None:
@@ -447,7 +410,6 @@ class KnnSearch(Operator):
             self.query_spectra, self.q_points, self.k,
             transformation=self.transformation, stats=ctx.stats,
             frontier_stats=self.frontier, budget=ctx.budget,
-            executor=getattr(engine, "executor", None),
         )
 
     def _describe(self) -> dict:
@@ -502,13 +464,11 @@ class PairJoin(Operator):
                 engine.tree, engine.space, spectra, engine.points,
                 self.eps, self.transformation, stats=ctx.stats,
                 frontier_stats=self.frontier,
-                executor=getattr(engine, "executor", None),
             )
         if self.method == "tree-join":
             return q.all_pairs_tree_join(
                 engine.tree, engine.space, spectra,
                 self.eps, self.transformation, stats=ctx.stats,
-                executor=getattr(engine, "executor", None),
             )
         raise ValueError(f"unknown join method {self.method!r}")
 

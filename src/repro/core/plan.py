@@ -190,7 +190,6 @@ class PhysicalPlan:
                 None if spec.transformation is None else spec.transformation.name
             ),
             "transform_query": spec.transform_query,
-            "executor": self._executor_info(),
             "plan": self.root.explain(),
         }
         if spec.kind in SUBSEQ_KINDS:
@@ -203,21 +202,6 @@ class PhysicalPlan:
                 else logical.probe_choices[0]
             )
         return out
-
-    def _executor_info(self) -> Optional[dict]:
-        """The engine's kernel-executor configuration, for EXPLAIN.
-
-        ``None`` for engine-less plans (``DIST``); otherwise the worker
-        count / sharding mode the parallel layer would run fused batches
-        with (``mode: "serial"`` is the default single-thread path) plus
-        the execution supervisor's live state — cumulative ``retries``
-        and, once the circuit breaker has tripped,
-        ``degraded_to_serial``/``breaker_reason``.  Read at explain time,
-        not compile time, so EXPLAIN ANALYZE (explain after execute)
-        reflects any supervision the run needed.
-        """
-        executor = getattr(self.ctx.engine, "executor", None)
-        return None if executor is None else executor.describe()
 
     def __repr__(self) -> str:
         return (

@@ -249,7 +249,6 @@ def knn_query_fused(
     view: Optional[TransformedIndexView] = None,
     frontier_stats: Optional["FrontierStats"] = None,
     budget=None,
-    executor=None,
 ) -> list[list[Match]]:
     """Fused multi-step exact k-NN for a whole batch of queries.
 
@@ -297,25 +296,11 @@ def knn_query_fused(
         tx = spec if transformation is None else transformation.apply_spectrum(spec)
         diff = tx - q_specs[qidx]
         if stats is not None:
-            # Locked add: under the parallel executor this closure runs
-            # concurrently from several kernel workers on the one shared
-            # engine-level IOStats, where bare += would lose counts.
-            stats.add(
-                candidate_count=int(rids.shape[0]),
-                distance_computations=int(rids.shape[0]),
-                verifications_completed=int(rids.shape[0]),
-            )
+            stats.candidate_count += int(rids.shape[0])
+            stats.distance_computations += int(rids.shape[0])
+            stats.verifications_completed += int(rids.shape[0])
         return np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=1))
 
-    if executor is not None:
-        return executor.knn_batch(
-            view.kernel, q_points, k, verify_many,
-            view.mapping.scale, view.mapping.offset,
-            rect_dist_rows=space.rect_mindist_rows,
-            point_dist_rows=space.point_dist_rows,
-            fstats=frontier_stats, io=view.tree.store.stats,
-            budget=budget,
-        )
     return view.kernel.knn_batch(
         q_points, k, verify_many,
         view.mapping.scale, view.mapping.offset,
@@ -452,7 +437,6 @@ def all_pairs_index(
     stats: Optional[IOStats] = None,
     batched: bool = True,
     frontier_stats: Optional[FrontierStats] = None,
-    executor=None,
 ) -> list[tuple[int, int, float]]:
     """Table 1 methods *c* (no transformation) and *d* (with it).
 
@@ -492,7 +476,6 @@ def all_pairs_index(
                 view, qlows[s:e], qhighs[s:e],
                 np.arange(s, e, dtype=np.int64),
                 self_join=True, fstats=frontier_stats,
-                executor=executor,
             )
             chunk_out, n = _verify_pairs_arrays(tspec, outer_ids, inner_ids, eps)
             out.extend(chunk_out)
@@ -537,7 +520,6 @@ def all_pairs_tree_join(
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
     batched: bool = True,
-    executor=None,
 ) -> list[tuple[int, int, float]]:
     """Self-join by synchronized tree descent (not in the paper; ablation).
 
@@ -560,7 +542,6 @@ def all_pairs_tree_join(
             view,
             expand_many=lambda lo, hi: space.expand_rect_many(lo, hi, eps),
             self_join=True,
-            executor=executor,
         )
         out, candidates = _verify_pairs_arrays(tspec, outer_ids, inner_ids, eps)
     else:

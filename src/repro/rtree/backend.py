@@ -66,95 +66,3 @@ xp: ModuleType = _resolve(BACKEND_NAME)
 def array_namespace() -> ModuleType:
     """The active array namespace (late-bound accessor for cold paths)."""
     return xp
-
-
-#: Environment variable naming the kernel worker count (see below).
-KERNEL_THREADS_VAR = "REPRO_KERNEL_THREADS"
-
-
-def resolve_worker_count(spec: "str | int | None" = None) -> int:
-    """Resolve a kernel worker-count request to a concrete thread count.
-
-    The sibling knob to the array-backend selection above: where
-    ``REPRO_ARRAY_BACKEND`` picks *what* runs the frontier math,
-    ``REPRO_KERNEL_THREADS`` picks *how many* threads the parallel
-    executor (:mod:`repro.rtree.parallel`) shards fused batches across.
-
-    ``spec`` falls back to the environment variable when ``None``:
-
-    * ``1`` / unset      — today's serial path (no thread pool at all);
-    * ``0`` / ``"auto"`` — one worker per available CPU;
-    * any other positive integer — that many workers.
-
-    Unlike the backend, this is resolved *per call* rather than at import
-    time — worker count changes execution schedule, never results, so it
-    is safe (and handy for tests) to vary between engine constructions
-    without reloading modules.
-    """
-    source = "worker count"
-    if spec is None:
-        spec = os.environ.get(KERNEL_THREADS_VAR, "1")
-        source = f"{KERNEL_THREADS_VAR} value"
-    if isinstance(spec, str):
-        text = spec.strip().lower()
-        if text in ("", "auto"):
-            spec = 0
-        else:
-            try:
-                spec = int(text)
-            except ValueError:
-                raise ValueError(
-                    f"invalid kernel {source} {spec!r}; expected a "
-                    f"non-negative integer or 'auto'"
-                ) from None
-    if spec < 0:
-        raise ValueError(
-            f"invalid kernel {source} {spec!r}; expected a "
-            f"non-negative integer or 'auto'"
-        )
-    if spec == 0:
-        return max(1, os.cpu_count() or 1)
-    return spec
-
-
-#: Environment variable naming the supervisor's watchdog grace (ms).
-WATCHDOG_GRACE_VAR = "REPRO_KERNEL_WATCHDOG_GRACE_MS"
-
-#: Default watchdog grace: how far past a query's budget deadline the
-#: execution supervisor waits for an in-flight block before declaring
-#: the worker wedged and abandoning the pool.
-DEFAULT_WATCHDOG_GRACE_MS = 50.0
-
-
-def resolve_watchdog_grace(spec: "str | float | None" = None) -> float:
-    """Resolve the supervisor's watchdog grace period to milliseconds.
-
-    The third knob of this seam, next to ``REPRO_ARRAY_BACKEND`` (what
-    runs the frontier math) and ``REPRO_KERNEL_THREADS`` (how many
-    threads shard it): ``REPRO_KERNEL_WATCHDOG_GRACE_MS`` sets how long
-    the supervisor in :mod:`repro.rtree.parallel` lets a block run past
-    its query's ``ResourceBudget`` deadline before treating the worker
-    as wedged.  Grace changes only *when* a watchdog trips, never any
-    query result.  ``spec`` falls back to the environment variable when
-    ``None``; the value must be a non-negative number of milliseconds.
-    """
-    source = "watchdog grace"
-    if spec is None:
-        spec = os.environ.get(WATCHDOG_GRACE_VAR, "")
-        source = f"{WATCHDOG_GRACE_VAR} value"
-        if isinstance(spec, str) and not spec.strip():
-            return DEFAULT_WATCHDOG_GRACE_MS
-    if isinstance(spec, str):
-        try:
-            spec = float(spec.strip())
-        except ValueError:
-            raise ValueError(
-                f"invalid kernel {source} {spec!r}; expected a "
-                f"non-negative number of milliseconds"
-            ) from None
-    if spec < 0:
-        raise ValueError(
-            f"invalid kernel {source} {spec!r}; expected a "
-            f"non-negative number of milliseconds"
-        )
-    return float(spec)

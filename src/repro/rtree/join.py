@@ -41,7 +41,6 @@ def tree_matching_join_pairs(
     expand_many: ExpandManyFn,
     self_join: bool = False,
     fstats: Optional[FrontierStats] = None,
-    executor=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tree-matching join reformulated over two frozen kernels.
 
@@ -63,10 +62,6 @@ def tree_matching_join_pairs(
             ``expand`` callable).
         self_join: emit each unordered pair once (``inner > outer``).
         fstats: optional frontier counters for the B-side descent.
-        executor: optional :class:`repro.rtree.parallel.KernelExecutor`.
-            The outer leaf relation arrives in BFS order — grouped by the
-            outer tree's top-level subtrees — so the executor's
-            contiguous blocks partition those subtrees across workers.
 
     Returns:
         ``(a ids, b ids)`` candidate-pair arrays, sorted by ``(a, b)``.
@@ -80,19 +75,6 @@ def tree_matching_join_pairs(
     lo = lows * mapping.scale + mapping.offset
     hi = highs * mapping.scale + mapping.offset
     qlows, qhighs = expand_many(np.minimum(lo, hi), np.maximum(lo, hi))
-    if executor is not None:
-        return executor.join_pairs(
-            kernel_b,
-            np.asarray(qlows, dtype=np.float64),
-            np.asarray(qhighs, dtype=np.float64),
-            np.asarray(outer_ids, dtype=np.int64),
-            view_b.mapping.scale,
-            view_b.mapping.offset,
-            circular_mask=view_b.circular_mask,
-            self_join=self_join,
-            fstats=fstats,
-            io=view_b.tree.store.stats,
-        )
     return kernel_b.join_pairs(
         np.asarray(qlows, dtype=np.float64),
         np.asarray(qhighs, dtype=np.float64),
@@ -113,7 +95,6 @@ def index_nested_loop_join_pairs(
     outer_ids: np.ndarray,
     self_join: bool = True,
     fstats: Optional[FrontierStats] = None,
-    executor=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel-backed index nested-loop join (the fused form of methods c/d).
 
@@ -137,19 +118,6 @@ def index_nested_loop_join_pairs(
     """
     if view.kernel is None:
         raise ValueError("index_nested_loop_join_pairs requires a frozen kernel")
-    if executor is not None:
-        return executor.join_pairs(
-            view.kernel,
-            np.asarray(qlows, dtype=np.float64),
-            np.asarray(qhighs, dtype=np.float64),
-            np.asarray(outer_ids, dtype=np.int64),
-            view.mapping.scale,
-            view.mapping.offset,
-            circular_mask=view.circular_mask,
-            self_join=self_join,
-            fstats=fstats,
-            io=view.tree.store.stats,
-        )
     return view.kernel.join_pairs(
         np.asarray(qlows, dtype=np.float64),
         np.asarray(qhighs, dtype=np.float64),

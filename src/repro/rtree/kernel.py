@@ -123,23 +123,6 @@ class FrontierStats:
         if frontier_size > self.frontier_peak:
             self.frontier_peak = frontier_size
 
-    def merge(self, other: "FrontierStats") -> None:
-        """Fold a worker's counters into this instance.
-
-        Work counters sum; ``frontier_peak`` takes the max, so under the
-        parallel executor it reports the largest *per-worker* frontier
-        (each worker traverses only its query block, never the union).
-        """
-        self.nodes_expanded += other.nodes_expanded
-        self.entries_scanned += other.entries_scanned
-        self.observe(other.frontier_peak)
-
-    def __add__(self, other: "FrontierStats") -> "FrontierStats":
-        out = FrontierStats()
-        out.merge(self)
-        out.merge(other)
-        return out
-
     def as_dict(self) -> dict:
         return {
             "nodes_expanded": self.nodes_expanded,

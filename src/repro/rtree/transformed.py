@@ -269,7 +269,6 @@ class TransformedIndexView:
         qhighs: np.ndarray,
         fstats: Optional[FrontierStats] = None,
         budget=None,
-        executor=None,
     ) -> list[np.ndarray]:
         """Multi-query range search sharing a single tree descent.
 
@@ -285,23 +284,11 @@ class TransformedIndexView:
         Args:
             qlows, qhighs: stacked ``(m, dim)`` query-rectangle bounds.
             fstats: optional frontier counters (kernel path only).
-            executor: optional :class:`repro.rtree.parallel.KernelExecutor`
-                that shards the batch across worker threads (kernel path
-                only; results are identical to the serial traversal).
 
         Returns:
             one array/list of matching record ids per query, in query order.
         """
         if self.kernel is not None:
-            if executor is not None:
-                return executor.range_ids_many(
-                    self.kernel,
-                    np.asarray(qlows, dtype=np.float64),
-                    np.asarray(qhighs, dtype=np.float64),
-                    self.mapping.scale, self.mapping.offset,
-                    circular_mask=self.circular_mask,
-                    fstats=fstats, io=self.tree.store.stats, budget=budget,
-                )
             return self.kernel.range_ids_many(
                 np.asarray(qlows, dtype=np.float64),
                 np.asarray(qhighs, dtype=np.float64),

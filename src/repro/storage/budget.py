@@ -17,20 +17,10 @@ expanding, return the best results found so far, and set
 
 A budget with every limit ``None`` never fires — queries under it are
 bit-for-bit identical to unbudgeted ones (the parity tests pin this).
-
-Under the parallel executor one budget is shared by every worker of a
-sharded batch: the deadline is global wall-clock (each worker checks it
-inside its own frontier loop), the candidate counter is a single locked
-total across workers, and ``max_frontier`` bounds each worker's *own*
-frontier (a worker never materialises the union).  Counter mutation and
-lazy deadline arming are serialised on a per-budget lock; the lock is
-not held while *reading* the clock, which is safe because the deadline
-value is write-once per :meth:`start`.
 """
 
 from __future__ import annotations
 
-import threading  # repro: allow(REP007): shared budget counters are mutated from concurrent kernel workers
 import time
 from typing import Optional
 
@@ -57,7 +47,7 @@ class ResourceBudget:
     """
 
     __slots__ = ("deadline_ms", "max_candidates", "max_frontier",
-                 "truncated", "candidates", "_deadline", "_lock")
+                 "truncated", "candidates", "_deadline")
 
     def __init__(
         self,
@@ -77,7 +67,6 @@ class ResourceBudget:
         self.truncated = False
         self.candidates = 0
         self._deadline: Optional[float] = None
-        self._lock = threading.Lock()
 
     @property
     def unlimited(self) -> bool:
@@ -90,14 +79,13 @@ class ResourceBudget:
 
     def start(self) -> "ResourceBudget":
         """(Re-)arm the deadline clock and clear consumed counters."""
-        with self._lock:
-            self.truncated = False
-            self.candidates = 0
-            self._deadline = (
-                time.perf_counter() + self.deadline_ms / 1000.0
-                if self.deadline_ms is not None
-                else None
-            )
+        self.truncated = False
+        self.candidates = 0
+        self._deadline = (
+            time.perf_counter() + self.deadline_ms / 1000.0
+            if self.deadline_ms is not None
+            else None
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -106,13 +94,7 @@ class ResourceBudget:
     def exceeded(self, frontier: int = 0) -> Optional[str]:
         """The limit that has fired, or ``None``; never raises."""
         if self._deadline is None and self.deadline_ms is not None:
-            # Checked before start(): arm lazily.  Double-checked under
-            # the lock so a racing worker cannot re-arm (and a plain
-            # start() here would also wrongly zero a shared candidate
-            # counter another worker already charged).
-            with self._lock:
-                if self._deadline is None:
-                    self._deadline = time.perf_counter() + self.deadline_ms / 1000.0
+            self.start()  # checked before start(): arm lazily
         if self._deadline is not None and time.perf_counter() > self._deadline:
             return "deadline"
         if self.max_frontier is not None and frontier > self.max_frontier:
@@ -123,29 +105,7 @@ class ResourceBudget:
 
     def consume(self, n: int) -> None:
         """Record ``n`` candidate rows without raising (k-NN accounting)."""
-        with self._lock:
-            self.candidates += n
-
-    def remaining_ms(self) -> Optional[float]:
-        """Milliseconds left on the deadline; ``None`` when none is set.
-
-        Arms the deadline lazily under the lock (same double-checked rule
-        as :meth:`exceeded`), so the first caller — a kernel worker or
-        the executor's watchdog — starts the clock.  May return a
-        negative value once the deadline has passed; never raises.  The
-        parallel executor derives its per-block watchdog timeout from
-        this, which is what lets a wedged worker be abandoned *at* the
-        budget deadline instead of hanging the query forever.
-        """
-        if self.deadline_ms is None:
-            return None
-        deadline = self._deadline
-        if deadline is None:
-            with self._lock:
-                if self._deadline is None:
-                    self._deadline = time.perf_counter() + self.deadline_ms / 1000.0
-                deadline = self._deadline
-        return (deadline - time.perf_counter()) * 1000.0
+        self.candidates += n
 
     # ------------------------------------------------------------------
     # raising checks (range / join / subseq paths)
@@ -169,13 +129,11 @@ class ResourceBudget:
 
     def charge_candidates(self, n: int, where: str = "") -> None:
         """Consume ``n`` candidates and raise if the cap is now exceeded."""
-        with self._lock:
-            self.candidates += n
-            total = self.candidates
-        if self.max_candidates is not None and total > self.max_candidates:
+        self.candidates += n
+        if self.max_candidates is not None and self.candidates > self.max_candidates:
             raise QueryBudgetExceeded(
                 "candidates",
-                f"{total} candidate rows exceed {self.max_candidates}"
+                f"{self.candidates} candidate rows exceed {self.max_candidates}"
                 + (f" at {where}" if where else ""),
             )
 

@@ -1,16 +1,13 @@
-"""Injectable failpoints for crash-safety and chaos testing.
+"""Injectable failpoints for crash-safety testing.
 
-A *failpoint* is a named site in the storage or compute code
-(``"pager.write_page"``, ``"persist.write:index_columnar.npz"``,
-``"kernel.worker:range"``) that tests can arm with :func:`fail_at` to
-simulate the disasters a real deployment meets: a full disk, a process
-killed mid-write, a torn page, a bit flipped at rest — and, since the
-execution supervisor landed, a kernel worker that errors, wedges, runs
-slow, or exhausts memory mid-batch.  Production code never arms anything
-— when the registry is empty every hook is a single ``if not _REGISTRY``
-check.
+A *failpoint* is a named site in the storage code (``"pager.write_page"``,
+``"persist.write:index_columnar.npz"``, ``"persist.replace:meta.json"``)
+that tests can arm with :func:`fail_at` to simulate the disasters a real
+deployment meets: a full disk, a process killed mid-write, a torn page, a
+bit flipped at rest.  Production code never arms anything — when the
+registry is empty every hook is a single ``if not _REGISTRY`` check.
 
-Storage modes (what happens on the *nth* hit of the armed site):
+Modes (what happens on the *nth* hit of the armed site):
 
 * ``"error"``     — raise ``OSError(EIO)`` before any bytes are written.
 * ``"enospc"``    — raise ``OSError(ENOSPC)`` before any bytes are written.
@@ -23,57 +20,20 @@ Storage modes (what happens on the *nth* hit of the armed site):
 * ``"bitflip"``   — silently write the payload with one bit flipped
   (corruption at rest).
 
-Compute modes (for the ``kernel.worker:*`` sites the parallel executor's
-block tasks pass through — see :mod:`repro.rtree.parallel`):
-
-* ``"error"``  — raise ``OSError(EIO)`` in the worker before the kernel
-  call (``"error"`` is shared between the two site families).
-* ``"oom"``    — raise ``MemoryError`` in the worker (a block whose
-  intermediate arrays did not fit).
-* ``"slow"``   — sleep ``delay_ms`` (default 25 ms), then compute
-  normally (a straggler; results must still be exact).
-* ``"hang"``   — sleep ``delay_ms`` (default 30 000 ms) before
-  computing: a wedged worker the supervisor's watchdog must catch.
-  The sleep is interruptible — :func:`clear` wakes every hung worker so
-  fault tests drain their threads promptly.
-
-By default a failpoint fires once; ``sticky=True`` makes it fire on
-every hit from the *nth* on, which is how the chaos harness exercises
-the supervisor's retry-then-circuit-breaker path (a one-shot fault is
-healed by a single retry and never reaches the breaker).
-
-The registry and every per-failpoint counter are guarded by a module
-lock: concurrent kernel workers hitting the same site must agree on
-which hit is the *nth* — unsynchronised counters could double-fire or
-skip it.  The lock is never held while sleeping or raising.
-
 The registry is honoured whenever it is non-empty; setting
 ``REPRO_FAILPOINTS=1`` in the environment additionally marks a process as
-a fault-injection run (CI uses it to select the crash-safety and chaos
-jobs), and :func:`active` exposes it for tests that want to assert the
-harness is on.
+a fault-injection run (CI uses it to select the crash-safety job), and
+:func:`active` exposes it for tests that want to assert the harness is on.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import threading  # repro: allow(REP007): the failpoint registry is hit by concurrent kernel workers and must count nth-hits under a lock
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-#: Modes valid at storage (write/replace/flush) sites.
 MODES = ("error", "enospc", "crash", "torn", "truncate", "bitflip")
-
-#: Modes valid at compute (``kernel.worker:*``) sites.
-COMPUTE_MODES = ("error", "oom", "slow", "hang")
-
-#: Every mode :func:`fail_at` accepts.
-ALL_MODES = MODES + tuple(m for m in COMPUTE_MODES if m not in MODES)
-
-#: Default sleep for ``"slow"`` / ``"hang"`` when ``delay_ms`` is unset.
-DEFAULT_SLOW_MS = 25.0
-DEFAULT_HANG_MS = 30_000.0
 
 
 class SimulatedCrash(Exception):
@@ -91,36 +51,18 @@ class _Failpoint:
     mode: str
     hits: int = 0
     fired: bool = False
-    #: keep firing on every hit from the nth on (chaos harness: a fault
-    #: that survives the supervisor's single retry).
-    sticky: bool = False
     #: byte offset for bitflip (None = middle of the payload)
     flip_at: Optional[int] = None
-    #: sleep length for ``"slow"``/``"hang"`` (None = mode default)
-    delay_ms: Optional[float] = None
-    #: set by :func:`clear` so hung workers wake up immediately
-    release: threading.Event = field(default_factory=threading.Event)
 
     def due(self) -> bool:
-        """Whether this hit fires.  Caller must hold ``_LOCK``."""
         self.hits += 1
-        if self.sticky:
-            return self.hits >= self.nth
         if self.fired or self.hits != self.nth:
             return False
         self.fired = True
         return True
 
-    def sleep_ms(self) -> float:
-        if self.delay_ms is not None:
-            return self.delay_ms
-        return DEFAULT_HANG_MS if self.mode == "hang" else DEFAULT_SLOW_MS
-
 
 _REGISTRY: dict[str, _Failpoint] = {}
-#: Guards ``_REGISTRY`` and every ``_Failpoint`` hit counter.  Never held
-#: while sleeping or raising.
-_LOCK = threading.Lock()
 
 
 def env_enabled() -> bool:
@@ -129,42 +71,19 @@ def env_enabled() -> bool:
 
 
 def fail_at(
-    name: str,
-    nth: int = 1,
-    mode: str = "error",
-    flip_at: Optional[int] = None,
-    delay_ms: Optional[float] = None,
-    sticky: bool = False,
+    name: str, nth: int = 1, mode: str = "error", flip_at: Optional[int] = None
 ) -> None:
-    """Arm failpoint ``name`` to fire on its ``nth`` hit.
-
-    One-shot by default; ``sticky=True`` keeps it firing on every hit
-    from the ``nth`` on.  ``delay_ms`` tunes the ``"slow"``/``"hang"``
-    sleep length.
-    """
-    if mode not in ALL_MODES:
-        raise ValueError(
-            f"unknown failpoint mode {mode!r}; expected one of {ALL_MODES}"
-        )
+    """Arm failpoint ``name`` to fire once, on its ``nth`` hit."""
+    if mode not in MODES:
+        raise ValueError(f"unknown failpoint mode {mode!r}; expected one of {MODES}")
     if nth < 1:
         raise ValueError(f"nth must be >= 1, got {nth}")
-    if delay_ms is not None and delay_ms < 0:
-        raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-    fp = _Failpoint(
-        name=name, nth=nth, mode=mode, flip_at=flip_at,
-        delay_ms=delay_ms, sticky=sticky,
-    )
-    with _LOCK:
-        _REGISTRY[name] = fp
+    _REGISTRY[name] = _Failpoint(name=name, nth=nth, mode=mode, flip_at=flip_at)
 
 
 def clear() -> None:
-    """Disarm every failpoint and wake every worker hung on one."""
-    with _LOCK:
-        points = list(_REGISTRY.values())
-        _REGISTRY.clear()
-    for fp in points:
-        fp.release.set()
+    """Disarm every failpoint."""
+    _REGISTRY.clear()
 
 
 def active() -> bool:
@@ -205,15 +124,6 @@ def _corrupt(data: bytes, fp: _Failpoint) -> bytes:
     return bytes(buf)
 
 
-def _due(name: str) -> Optional[_Failpoint]:
-    """The armed failpoint for ``name`` if this hit fires, else ``None``."""
-    with _LOCK:
-        fp = _REGISTRY.get(name)
-        if fp is None or not fp.due():
-            return None
-        return fp
-
-
 def intercept(name: str, data: bytes) -> tuple[bytes, Optional[BaseException]]:
     """Filter a write through failpoint ``name``.
 
@@ -224,8 +134,8 @@ def intercept(name: str, data: bytes) -> tuple[bytes, Optional[BaseException]]:
     """
     if not _REGISTRY:
         return data, None
-    fp = _due(name)
-    if fp is None:
+    fp = _REGISTRY.get(name)
+    if fp is None or not fp.due():
         return data, None
     if fp.mode == "error":
         raise OSError(errno.EIO, f"injected I/O error at {name}")
@@ -239,15 +149,15 @@ def intercept(name: str, data: bytes) -> tuple[bytes, Optional[BaseException]]:
 
 
 def trigger(name: str) -> None:
-    """Hit a write-free storage failpoint (flush, replace, fsync sites).
+    """Hit a write-free failpoint (flush, replace, fsync sites).
 
     Only the raising modes make sense here; the data-mangling modes are
     ignored because there is no payload to mangle.
     """
     if not _REGISTRY:
         return
-    fp = _due(name)
-    if fp is None:
+    fp = _REGISTRY.get(name)
+    if fp is None or not fp.due():
         return
     if fp.mode == "error":
         raise OSError(errno.EIO, f"injected I/O error at {name}")
@@ -255,25 +165,3 @@ def trigger(name: str) -> None:
         raise OSError(errno.ENOSPC, f"injected ENOSPC at {name}")
     if fp.mode in ("crash", "torn"):
         raise SimulatedCrash(f"injected crash at {name}")
-
-
-def trigger_compute(name: str) -> None:
-    """Hit a compute failpoint (the ``kernel.worker:*`` sites).
-
-    Called by the parallel executor at the top of every sharded block
-    task — the serial kernel path never passes through here, which is
-    what keeps ``workers == 1`` byte-for-byte the untouched serial path.
-    ``"slow"``/``"hang"`` sleep on an interruptible event (woken by
-    :func:`clear`), then return so the block computes its exact result.
-    """
-    if not _REGISTRY:
-        return
-    fp = _due(name)
-    if fp is None:
-        return
-    if fp.mode == "error":
-        raise OSError(errno.EIO, f"injected worker error at {name}")
-    if fp.mode == "oom":
-        raise MemoryError(f"injected worker OOM at {name}")
-    if fp.mode in ("slow", "hang"):
-        fp.release.wait(timeout=fp.sleep_ms() / 1000.0)

@@ -3,20 +3,10 @@
 The counters are deliberately simple integers on a plain object: benchmarks
 reset them, run a query, and read them back.  They are the reproduction's
 stand-in for the paper's "number of disk accesses" measurements.
-
-Since the parallel executor landed, one ``IOStats`` instance can be
-visible from several kernel workers at once.  The serial hot paths keep
-their bare ``+=`` increments (single-threaded by construction, and the
-kernel loops are too hot for a lock), while concurrent writers must go
-through :meth:`IOStats.add` / :meth:`IOStats.bump` / :meth:`IOStats.merge`,
-which serialise on a per-instance lock.  Workers normally accumulate
-into private instances that are merged after the batch completes, so the
-lock only guards the few genuinely shared callbacks.
 """
 
 from __future__ import annotations
 
-import threading  # repro: allow(REP007): stats counters need a lock so concurrent kernel workers cannot lose increments
 from dataclasses import dataclass, field
 
 
@@ -55,36 +45,19 @@ class IOStats:
     verifications_completed: int = 0
     verifications_abandoned: int = 0
     extra: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    #: Every named integer counter, in snapshot order.
-    FIELDS = (
-        "page_reads",
-        "page_writes",
-        "buffer_hits",
-        "node_reads",
-        "node_writes",
-        "distance_computations",
-        "candidate_count",
-        "verifications_completed",
-        "verifications_abandoned",
-    )
 
     def reset(self) -> None:
         """Zero every counter (including the free-form ``extra`` map)."""
-        with self._lock:
-            self.page_reads = 0
-            self.page_writes = 0
-            self.buffer_hits = 0
-            self.node_reads = 0
-            self.node_writes = 0
-            self.distance_computations = 0
-            self.candidate_count = 0
-            self.verifications_completed = 0
-            self.verifications_abandoned = 0
-            self.extra.clear()
+        self.page_reads = 0
+        self.page_writes = 0
+        self.buffer_hits = 0
+        self.node_reads = 0
+        self.node_writes = 0
+        self.distance_computations = 0
+        self.candidate_count = 0
+        self.verifications_completed = 0
+        self.verifications_abandoned = 0
+        self.extra.clear()
 
     @property
     def disk_accesses(self) -> int:
@@ -97,45 +70,8 @@ class IOStats:
         return self.page_reads + self.buffer_hits
 
     def bump(self, key: str, amount: int = 1) -> None:
-        """Increment a free-form named counter in :attr:`extra` (locked)."""
-        with self._lock:
-            self.extra[key] = self.extra.get(key, 0) + amount
-
-    def add(self, **counts: int) -> None:
-        """Atomically increment named counters.
-
-        The thread-safe alternative to ``stats.field += n`` for code that
-        can run from several kernel workers at once (for example the
-        verification callbacks the fused k-NN frontier invokes).  Unknown
-        names raise ``AttributeError`` rather than minting new fields.
-        """
-        with self._lock:
-            for name, amount in counts.items():
-                if name not in self.FIELDS:
-                    raise AttributeError(f"IOStats has no counter {name!r}")
-                setattr(self, name, getattr(self, name) + amount)
-
-    def merge(self, other: "IOStats") -> None:
-        """Fold another instance's counters into this one (locked).
-
-        Used by the parallel executor to aggregate per-worker private
-        stats back into the engine-level instance once a sharded batch
-        completes; merging after the workers join keeps the totals
-        deterministic.  Only ``self`` is locked — callers must ensure
-        ``other`` is quiescent (its workers have finished).
-        """
-        with self._lock:
-            for name in self.FIELDS:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-            for key, amount in other.extra.items():
-                self.extra[key] = self.extra.get(key, 0) + amount
-
-    def __add__(self, other: "IOStats") -> "IOStats":
-        """Return a new instance holding the summed counters."""
-        out = IOStats()
-        out.merge(self)
-        out.merge(other)
-        return out
+        """Increment a free-form named counter in :attr:`extra`."""
+        self.extra[key] = self.extra.get(key, 0) + amount
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of every counter, for reporting."""

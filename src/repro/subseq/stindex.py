@@ -123,10 +123,6 @@ class STIndex:
             straight into the columnar kernel; ``"insert"`` reproduces
             the original behaviour — one R* insert per sub-trail at
             ``add_series`` time (the reference build path).
-        executor: optional :class:`repro.rtree.parallel.KernelExecutor`
-            that shards the fused probe batches (multipiece/prefix range
-            probes and the k-NN frontier) across worker threads; results
-            are identical to serial execution.  ``None`` = serial.
     """
 
     def __init__(
@@ -137,7 +133,6 @@ class STIndex:
         chunk: int = 16,
         max_entries: int = 32,
         build: str = "bulk",
-        executor=None,
     ) -> None:
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
@@ -157,7 +152,6 @@ class STIndex:
         self.chunk = chunk
         self.max_entries = max_entries
         self.build = build
-        self.executor = executor
         self.dim = 2 * k
         self._series: list[xp.ndarray] = []
         self._subtrails: list[_SubTrail] = []
@@ -668,19 +662,11 @@ class STIndex:
                 row_eps[s:e] = eps / math.sqrt(p)
         radius = (row_eps + pad)[keep][:, None]
         kept_feats = feats[keep]
-        if self.executor is not None:
-            ids_per_row = self.executor.range_ids_many(
-                kernel,
-                kept_feats - radius, kept_feats + radius,
-                fstats=fstats, io=self.tree.store.stats,
-                budget=budget,
-            )
-        else:
-            ids_per_row = kernel.range_ids_many(
-                kept_feats - radius, kept_feats + radius,
-                fstats=fstats, io=self.tree.store.stats,
-                budget=budget,
-            )
+        ids_per_row = kernel.range_ids_many(
+            kept_feats - radius, kept_feats + radius,
+            fstats=fstats, io=self.tree.store.stats,
+            budget=budget,
+        )
         # --- expand + dedup, per query
         shifts = xp.asarray(row_shift, dtype=xp.int64)[keep]
         kept_query = xp.asarray(row_query, dtype=xp.int64)[keep]
@@ -885,18 +871,6 @@ class STIndex:
             d = xp.linalg.norm(qrows - clamped, axis=1)
             return xp.maximum(d - self._feat_pad(qrows), 0.0)
 
-        if self.executor is not None:
-            return self.executor.knn_batch(
-                kernel,
-                feats,
-                k,
-                box_leaves=True,
-                verify_expand=self._knn_verifier(qs),
-                rect_dist_rows=rect_rows,
-                fstats=fstats,
-                io=self.tree.store.stats,
-                budget=budget,
-            )
         return kernel.knn_batch(
             feats,
             k,

@@ -18,10 +18,7 @@ from repro.analysis import LintEngine, all_rules
 from repro.analysis.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
-RULE_IDS = (
-    "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-    "REP008",
-)
+RULE_IDS = ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006")
 
 
 def rules_hit(path: Path) -> set[str]:
@@ -84,52 +81,6 @@ def test_rep006_flags_bare_and_swallowed_broad() -> None:
     assert len(report.violations) == 2
 
 
-def test_rep007_flags_every_import_form() -> None:
-    report = LintEngine(rules=["REP007"]).check_file(FIXTURES / "rep007_flag.py")
-    assert len(report.violations) == 3  # threading, concurrent, multiprocessing
-
-
-def test_rep007_exempts_the_parallel_seam() -> None:
-    source = "from concurrent.futures import ThreadPoolExecutor\n"
-    report = LintEngine(rules=["REP007"]).check_source(
-        source, "src/repro/rtree/parallel.py"
-    )
-    assert report.violations == []
-
-
-def test_rep007_covers_package_modules_without_a_marker() -> None:
-    source = "import threading\n"
-    report = LintEngine(rules=["REP007"]).check_source(
-        source, "src/repro/core/anything.py"
-    )
-    assert [v.rule for v in report.violations] == ["REP007"]
-
-
-def test_rep008_flags_bare_result_and_dropped_submit() -> None:
-    report = LintEngine(rules=["REP008"]).check_file(FIXTURES / "rep008_flag.py")
-    assert len(report.violations) == 2  # result loop + fire-and-forget submit
-
-
-def test_rep008_allows_the_registered_supervisor() -> None:
-    source = (
-        "class KernelExecutor:\n"
-        "    def _run(self, futures):\n"
-        "        return [f.result() for f in futures]\n"
-    )
-    report = LintEngine(rules=["REP008"]).check_source(
-        source, "src/repro/rtree/parallel.py"
-    )
-    assert report.violations == []
-
-
-def test_rep008_covers_the_parallel_seam_without_a_marker() -> None:
-    source = "def drain(fs):\n    return [f.result() for f in fs]\n"
-    report = LintEngine(rules=["REP008"]).check_source(
-        source, "src/repro/rtree/parallel.py"
-    )
-    assert [v.rule for v in report.violations] == ["REP008"]
-
-
 def test_scope_markers_only_apply_in_their_scope() -> None:
     # The hot-path fixture is not storage-scoped: REP006 never looks at it.
     source = (FIXTURES / "rep001_flag.py").read_text()
@@ -186,7 +137,7 @@ def test_unknown_rule_selection_raises() -> None:
         LintEngine(rules=["REP42"])
 
 
-def test_registry_exposes_all_rules() -> None:
+def test_registry_exposes_all_six_rules() -> None:
     assert [r.rule_id for r in all_rules()] == list(RULE_IDS)
 
 

@@ -106,7 +106,7 @@ class TestGovernanceAndHealth:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "ok"
         assert set(report["components"]) == {
-            "relation", "index", "kernel", "kernel_executor", "persistence",
+            "relation", "index", "kernel", "persistence",
         }
         assert report["components"]["relation"]["status"] == "ok"
 

@@ -64,7 +64,7 @@ class TestEngineHealth:
         report = engine.health()
         assert report.ok
         assert {c.name for c in report.components} == {
-            "relation", "index", "kernel", "kernel_executor", "persistence",
+            "relation", "index", "kernel", "persistence",
         }
         assert report.component("persistence").detail.startswith("built in memory")
 

@@ -128,13 +128,13 @@ def test_cli_fails_on_regression(tmp_path, capsys) -> None:
 
 def test_cli_require_missing_family_fails(tmp_path, capsys) -> None:
     base = report(knn_batch=8.3)
-    code = run_gate(tmp_path, base, base, "--require", "parallel_range")
+    code = run_gate(tmp_path, base, base, "--require", "subseq_knn")
     assert code == 1
-    assert "parallel_range" in capsys.readouterr().out
+    assert "subseq_knn" in capsys.readouterr().out
 
 
 def test_cli_require_present_family_passes(tmp_path, capsys) -> None:
-    base = report(knn_batch=8.3, parallel_range=1.0)
-    code = run_gate(tmp_path, base, base, "--require", "parallel_range")
+    base = report(knn_batch=8.3, subseq_knn=1.0)
+    code = run_gate(tmp_path, base, base, "--require", "subseq_knn")
     assert code == 0
     capsys.readouterr()

@@ -330,7 +330,7 @@ EXPLAIN_KEYS = {
     "kind", "access_path", "method_hint", "batch",
     "estimated_candidate_fraction", "crossover_fraction", "reason",
     "eps", "k", "transformation", "transform_query", "plan",
-    "degraded_from", "budget", "executor",
+    "degraded_from", "budget",
 }
 
 
@@ -436,3 +436,26 @@ class TestLanguagePlans:
 
         with pytest.raises(QueryError):
             session.execute("RANGE q IN walks EPS 1 PLAN quantum")
+
+
+# ----------------------------------------------------------------------
+# serial execution
+# ----------------------------------------------------------------------
+def test_queries_start_no_threads(relation, engine):
+    """Every query kind runs on the calling thread.
+
+    ``IOStats`` and ``ResourceBudget`` carry no locks; this pins the
+    premise that lets them.
+    """
+    import threading
+
+    before = threading.active_count()
+    batch = relation.matrix[:8]
+    engine.plan(QuerySpec(kind="range", series=batch, eps=5.0)).execute()
+    engine.plan(QuerySpec(kind="knn", series=batch, k=5)).execute()
+    engine.plan(QuerySpec(kind="join", eps=1.0, method="index")).execute()
+    st_index = engine.subseq_index(window=16)
+    st_index.plan(
+        QuerySpec(kind="subseq_range", series=relation.get(3)[:24], eps=2.0)
+    ).execute()
+    assert threading.active_count() == before

@@ -137,7 +137,7 @@ def test_unknown_rule_selection_raises() -> None:
         LintEngine(rules=["REP42"])
 
 
-def test_registry_exposes_all_six_rules() -> None:
+def test_registry_exposes_all_rules() -> None:
     assert [r.rule_id for r in all_rules()] == list(RULE_IDS)
 
 

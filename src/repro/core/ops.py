@@ -232,10 +232,10 @@ class SeqScan(Operator):
     """The tuned frequency-domain sequential scan (Section 5's competitor).
 
     A complete access path on its own: scanning the relation of spectra
-    with early-abandoning distances both filters and verifies, so no
-    separate :class:`Verify` stage follows it.  Handles range and k-NN,
-    single queries and batches (the batch path hoists the transformation
-    over the relation once).
+    with exact distances (block-abandoned for range) both filters and
+    verifies, so no separate :class:`Verify` stage follows it.  Handles
+    range and k-NN, single queries and batches (the batch paths hoist the
+    transformation over the relation once).
     """
 
     def __init__(
@@ -273,11 +273,10 @@ class SeqScan(Operator):
                 transformation=self.transformation, stats=ctx.stats,
             )
         if self.batch:
+            if self.transformation is not None:
+                spectra = self.transformation.apply_spectrum(spectra)
             return [
-                scan_knn(
-                    spectra, q_spec, self.k,
-                    transformation=self.transformation, stats=ctx.stats,
-                )
+                scan_knn(spectra, q_spec, self.k, stats=ctx.stats)
                 for q_spec in self.query_spectra
             ]
         return scan_knn(
@@ -289,7 +288,7 @@ class SeqScan(Operator):
         out = {
             "kind": self.kind,
             "transformation": self._tname(self.transformation),
-            "early_abandon": True,
+            "early_abandon": "matrix-blocked" if self.kind == "range" else False,
         }
         if self.eps is not None:
             out["eps"] = self.eps

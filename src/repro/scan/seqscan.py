@@ -4,18 +4,20 @@ The paper is careful to race its index against a *good* sequential scan
 (Section 5): the scan runs over the relation stored **in the frequency
 domain**, so that the large leading coefficients let the distance
 computation abandon most sequences after a few terms, and each distance
-computation stops as soon as it exceeds ``eps``.  These functions implement
-exactly that (plus an untuned time-domain variant for calibration).
+computation stops as soon as it exceeds ``eps``.  Here the scan is one
+matrix pass over the whole relation: the transformation is applied to
+every record at once, and the range scan's abandon rule runs per column
+block for all still-active records together
+(:func:`~repro.core.similarity.batch_euclidean_within`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.similarity import euclidean_early_abandon
+from repro.core.similarity import batch_euclidean_within
 from repro.core.transforms import Transformation
 from repro.storage.stats import IOStats
 
@@ -39,33 +41,23 @@ def scan_range(
         eps: similarity threshold.
         transformation: applied to each record during the comparison
             (the data side, matching Algorithm 2's semantics).
-        early_abandon: stop each distance computation once it exceeds
-            ``eps`` (the paper's optimisation; ``False`` gives the naive
-            scan).
+        early_abandon: accepted for compatibility and ignored: the abandon
+            rule always runs per column block over the whole relation,
+            and ``False`` returns the same answer list.
         block: coefficients accumulated per early-abandon step.
         stats: counter bundle.
 
     Returns:
         ``(record id, exact distance)`` pairs sorted by distance.
     """
-    out: list[tuple[int, float]] = []
-    m = ground_spectra.shape[0]
-    for i in range(m):
-        spec = ground_spectra[i]
-        if transformation is not None:
-            spec = transformation.apply_spectrum(spec)
-        if early_abandon:
-            d = euclidean_early_abandon(spec, query_spectrum, eps, block=block)
-            if d is not None:
-                out.append((i, d))
-        else:
-            d = float(np.linalg.norm(spec - query_spectrum))
-            if d <= eps:
-                out.append((i, d))
-    if stats is not None:
-        stats.distance_computations += m
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    return scan_range_many(
+        ground_spectra,
+        np.asarray(query_spectrum)[None, :],
+        eps,
+        transformation=transformation,
+        block=block,
+        stats=stats,
+    )[0]
 
 
 def scan_range_many(
@@ -80,22 +72,15 @@ def scan_range_many(
 
     The transformation is hoisted over the whole relation once (O(records)
     applications instead of O(records × queries)), and each query is then
-    verified against all records with matrix-level early abandoning — the
-    same block-accumulation rule as the scalar scan, evaluated as a few
-    numpy calls per query.  Answer sets are identical to per-query
-    :func:`scan_range` calls.
+    verified against all records with matrix-level early abandoning, a
+    few numpy calls per query.
     """
-    from repro.core.similarity import batch_euclidean_within
-
-    tspec = (
-        ground_spectra
-        if transformation is None
-        else transformation.apply_spectrum(ground_spectra)
-    )
+    if transformation is not None:
+        ground_spectra = transformation.apply_spectrum(ground_spectra)
     records = ground_spectra.shape[0]
     out: list[list[tuple[int, float]]] = []
     for q_spec in np.asarray(query_spectra, dtype=np.complex128):
-        kept, dists, _ = batch_euclidean_within(tspec, q_spec, eps, block=block)
+        kept, dists, _ = batch_euclidean_within(ground_spectra, q_spec, eps, block=block)
         matches = [(int(i), float(d)) for i, d in zip(kept, dists)]
         matches.sort(key=lambda t: (t[1], t[0]))
         out.append(matches)
@@ -111,32 +96,21 @@ def scan_knn(
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
 ) -> list[tuple[int, float]]:
-    """Exact k-NN by scanning, with a shrinking abandon threshold.
+    """Exact k-NN by one full-distance pass over the relation.
 
-    The current ``k``-th best distance serves as the early-abandon bound —
-    the scan analogue of branch-and-bound pruning.
-
-    Edge cases match the index path's kernel contract: ``k == 0`` and an
-    empty relation return ``[]``; ``k > m`` returns every record.
+    Ties in distance are broken by ascending record id.  Edge cases match
+    the index path's kernel contract: ``k == 0`` and an empty relation
+    return ``[]``; ``k > m`` returns every record.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:
         return []
-    best: list[tuple[float, int]] = []  # max-heap by negated distance
+    if transformation is not None:
+        ground_spectra = transformation.apply_spectrum(ground_spectra)
     m = ground_spectra.shape[0]
-    for i in range(m):
-        spec = ground_spectra[i]
-        if transformation is not None:
-            spec = transformation.apply_spectrum(spec)
-        if len(best) < k:
-            d = float(np.linalg.norm(spec - query_spectrum))
-            heapq.heappush(best, (-d, i))
-            continue
-        bound = -best[0][0]
-        d_opt = euclidean_early_abandon(spec, query_spectrum, bound)
-        if d_opt is not None and d_opt < bound:
-            heapq.heapreplace(best, (-d_opt, i))
+    diff = ground_spectra - np.asarray(query_spectrum)
+    d = np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=1))
     if stats is not None:
         stats.distance_computations += m
-    return sorted(((i, -nd) for nd, i in best), key=lambda t: (t[1], t[0]))
+    return [(int(i), float(d[i])) for i in np.lexsort((np.arange(m), d))[:k]]

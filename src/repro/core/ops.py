@@ -365,11 +365,11 @@ class Verify(Operator):
 class KnnSearch(Operator):
     """Multi-step exact k-NN over the transformed index.
 
-    Probing and verification interleave (the stream of index entries in
-    lower-bound order stops once the next bound exceeds the k-th best
-    exact distance), so this is a single operator rather than a
-    probe/verify pair.  Handles a single query or a batch sharing one
-    transformed view.
+    The radius comes out of verification (a seed pool of the lowest
+    bounds, :func:`repro.core.queries.knn_query_fused`), so this is a
+    single operator rather than a probe/verify pair; ``entries_scanned``
+    counts the rows bounded.  Handles a single query or a batch sharing
+    one transformed view.
     """
 
     def __init__(
@@ -415,7 +415,7 @@ class KnnSearch(Operator):
         out = {
             "k": self.k,
             "transformation": self._tname(self.transformation),
-            "strategy": "multi-step best-first (probe/verify interleaved)",
+            "strategy": "multi-step seeded radius (bound all, verify within r)",
         }
         if self.batch:
             out["queries"] = int(self.q_points.shape[0])

@@ -40,6 +40,9 @@ from repro.storage.stats import IOStats
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
+#: rows of candidate spectra gathered per verification step of the k-NN.
+_VERIFY_BLOCK = 1024
+
 #: A query answer: (record id, exact distance).
 Match = tuple[int, float]
 
@@ -161,24 +164,20 @@ def knn_query(
 ) -> list[Match]:
     """Exact k-nearest-neighbours under a safe transformation.
 
-    Multi-step scheme: entries stream out of the index in non-decreasing
-    order of the *feature-space lower bound* (Lemma 1's partial-energy
-    bound, via MINDIST pruning in the tree); each is verified against its
-    full record; the stream stops when the next lower bound already
-    exceeds the ``k``-th best exact distance — at that point no unseen
-    record can improve the answer, so the result is exact.
+    Multi-step scheme: the *feature-space lower bound* (Lemma 1's
+    partial-energy bound) of a record never exceeds its exact distance,
+    so once some radius is known to hold ``k`` exact neighbours, every
+    record outside the answer can be dismissed on its bound alone.
 
-    With ``batched`` (the default) the traversal scores each node's child
-    MBRs with one vectorised lower-bound call
-    (:meth:`FeatureSpace.rect_mindist_many` / ``point_dist_many``) instead
-    of one Python call per entry; with a frozen kernel on the view it runs
-    through the fused frontier (:func:`knn_query_fused`) — entry blocks
-    verified in one matrix step per pop instead of one heap item and one
-    ground distance per entry.
+    With ``batched`` (the default) and a frozen kernel on the view the
+    query runs as a batch of one through :func:`knn_query_fused` — one
+    vectorised bound pass, then a range at a certified seed radius.
+    Otherwise entries stream out of the index in non-decreasing bound
+    order (the best-first reference) and the stream stops when the next
+    bound exceeds the ``k``-th best exact distance.
 
-    Edge cases (defined once, in the kernel): ``k == 0`` and an empty
-    relation return ``[]``; ``k`` exceeding the relation returns every
-    record.  Negative ``k`` raises.
+    Edge cases: ``k == 0`` and an empty relation return ``[]``; ``k``
+    exceeding the relation returns every record.  Negative ``k`` raises.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -250,19 +249,24 @@ def knn_query_fused(
     frontier_stats: Optional["FrontierStats"] = None,
     budget=None,
 ) -> list[list[Match]]:
-    """Fused multi-step exact k-NN for a whole batch of queries.
+    """Exact k-NN for a batch of queries at a certified seed radius.
 
-    All queries traverse the index together through the columnar kernel's
-    round-synchronous best-first frontier
-    (:meth:`repro.rtree.kernel.FrozenRTree.knn_batch`), each with its own
-    pruning radius; exact verifications are performed for all queries in
-    one matrix operation per round.  Answers match per-query
-    :func:`knn_query` calls: identical ids, distances equal to floating-
-    point tolerance (the matrix verification accumulates in a different
-    order than the scalar reference's BLAS norm, like every batched
-    verification path in this codebase, so the last ulp may differ — on
-    degenerate data where two exact distances straddle the k-th boundary
-    within one ulp, either valid neighbour set may be returned).
+    Multi-step k-NN as one range query (Seidl & Kriegel, SIGMOD'98).  Per
+    query, one vectorised pass bounds every indexed point, and the
+    ``4k + 16`` rows with the lowest bounds (the seed *pool*) are verified
+    exactly.  Their ``k``-th distance plus 8 ulp is a radius ``r`` that
+    holds ``k`` records; by Lemma 1 only the other rows with bound
+    ``<= r`` can be closer, and they are verified at ``eps = r``.  The
+    answer is the top ``k`` by ``(distance, id)`` over both sets, so ties
+    go to the lowest id as in :func:`repro.scan.seqscan.scan_knn`.  The
+    pool stays in that union: re-verifying it at ``r`` could lose the
+    ``k``-th row to a last-ulp difference between matrix slices.
+
+    Under a ``budget`` the pool and the pending candidates are charged,
+    and the pending candidates are the frontier; when a limit fires the
+    pool's exact top ``k`` is returned and ``budget.truncated`` set.  A
+    view without a frozen kernel runs the best-first reference of
+    :func:`knn_query` once per query.
 
     Args:
         query_spectra: ``(m, n)`` full query spectra (verification side).
@@ -290,25 +294,60 @@ def knn_query_fused(
             for i in range(m)
         ]
     q_specs = np.asarray(query_spectra)
-
-    def verify_many(qidx: np.ndarray, rids: np.ndarray) -> np.ndarray:
-        spec = ground_spectra[rids]
-        tx = spec if transformation is None else transformation.apply_spectrum(spec)
-        diff = tx - q_specs[qidx]
+    lows, _, ids = view.kernel.leaf_entries()
+    pts = lows * view.mapping.scale + view.mapping.offset
+    n = int(ids.shape[0])
+    if n == 0:
+        return [[] for _ in range(m)]
+    pool_size = min(4 * k + 16, n)
+    kth = min(k, pool_size) - 1
+    slack = 1.0 + 8 * np.finfo(np.float64).eps
+    out: list[list[Match]] = []
+    for i in range(m):
+        lb = space.point_dist_many(pts, q_points[i])
+        pool = np.argpartition(lb, pool_size - 1)[:pool_size]
+        _, dists, _ = space.ground_distances_within_many(
+            ground_spectra[ids[pool]], q_specs[i], np.inf, transformation
+        )
+        r = np.partition(dists, kth)[kth] * slack
+        pending = lb <= r
+        pending[pool] = False
+        cand = np.flatnonzero(pending)
+        if frontier_stats is not None:
+            frontier_stats.entries_scanned += n
+            frontier_stats.observe(int(cand.shape[0]))
+        if budget is not None:
+            budget.consume(pool_size)
+            if budget.exceeded(int(cand.shape[0])) is not None:
+                budget.truncated = True
+                cand = cand[:0]
+            budget.consume(int(cand.shape[0]))
+        # Candidates in bound order, a block at a time: each block tightens
+        # r for the next, and the gathered spectra stay one block in size.
+        cand = cand[np.argsort(lb[cand], kind="stable")]
+        rows = ids[pool]
+        abandoned = 0
+        for s in range(0, int(cand.shape[0]), _VERIFY_BLOCK):
+            blk = cand[s : s + _VERIFY_BLOCK]
+            blk = blk[lb[blk] <= r]
+            if blk.shape[0] == 0:
+                break
+            kept, d_blk, dropped = space.ground_distances_within_many(
+                ground_spectra[ids[blk]], q_specs[i], r, transformation
+            )
+            rows = np.concatenate((rows, ids[blk[kept]]))
+            dists = np.concatenate((dists, d_blk))
+            r = np.partition(dists, kth)[kth] * slack
+            abandoned += dropped
         if stats is not None:
-            stats.candidate_count += int(rids.shape[0])
-            stats.distance_computations += int(rids.shape[0])
-            stats.verifications_completed += int(rids.shape[0])
-        return np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=1))
-
-    return view.kernel.knn_batch(
-        q_points, k, verify_many,
-        view.mapping.scale, view.mapping.offset,
-        rect_dist_rows=space.rect_mindist_rows,
-        point_dist_rows=space.point_dist_rows,
-        fstats=frontier_stats, io=view.tree.store.stats,
-        budget=budget,
-    )
+            # every verified row is either in ``dists`` or abandoned
+            stats.candidate_count += dists.shape[0] + abandoned
+            stats.distance_computations += dists.shape[0] + abandoned
+            stats.verifications_completed += dists.shape[0]
+            stats.verifications_abandoned += abandoned
+        top = np.lexsort((rows, dists))[:k]
+        out.append([(int(rows[j]), float(dists[j])) for j in top])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -392,13 +392,14 @@ class FrozenRTree:
     def leaf_entries(self) -> tuple[xp.ndarray, xp.ndarray, xp.ndarray]:
         """All leaf entry boxes and their id payloads, in BFS leaf order.
 
-        Returns ``(lows, highs, ids)`` — the flat leaf relation a
-        two-kernel join uses as its outer side (see
-        :func:`repro.rtree.join.tree_matching_join_pairs`).
+        BFS order puts every level-0 node last, so they are one contiguous
+        tail of the entry arrays, returned as views: ``(lows, highs, ids)``
+        — the outer side of a two-kernel join
+        (:func:`repro.rtree.join.tree_matching_join_pairs`) and the points
+        the seeded-radius k-NN bounds.
         """
-        leaves = xp.nonzero(self.node_level == 0)[0].astype(xp.int64)
-        idx, _ = self._gather(leaves)
-        return self.entry_lows[idx], self.entry_highs[idx], self.entry_child[idx]
+        tail = int(self.entry_start[int(xp.argmax(self.node_level == 0))])
+        return self.entry_lows[tail:], self.entry_highs[tail:], self.entry_child[tail:]
 
     # ------------------------------------------------------------------
     # range search (single query)

@@ -93,8 +93,16 @@ class TestKernelDegradation:
     def test_queries_fall_back_to_reference_path(self, engine):
         q = engine.relation.get(0)
         expected = engine.range_query(q, eps=6.0)
+        knn_spec = QuerySpec(kind="knn", series=q, k=5, method="index")
+        knn_expected = engine.plan(knn_spec).execute()
         engine.tree._kernel_disabled = True
         assert engine.range_query(q, eps=6.0) == expected
+        # the best-first reference returns the seeded-radius k-NN's ids
+        knn_got = engine.plan(knn_spec).execute()
+        assert [r for r, _ in knn_got] == [r for r, _ in knn_expected]
+        assert [d for _, d in knn_got] == pytest.approx(
+            [d for _, d in knn_expected], abs=1e-9
+        )
 
     def test_explain_records_kernel_degradation(self, engine):
         engine.tree._kernel_disabled = True

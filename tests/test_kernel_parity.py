@@ -265,7 +265,7 @@ class TestFrozenImage:
 
         knn_plan = eng.plan(QuerySpec(kind="knn", series=matrix[:6], k=3))
         knn_plan.execute()
-        assert knn_plan.explain()["plan"]["frontier"]["nodes_expanded"] > 0
+        assert knn_plan.explain()["plan"]["frontier"]["entries_scanned"] > 0
 
         join_plan = eng.plan(QuerySpec(kind="join", eps=2.0, method="index"))
         join_plan.execute()

@@ -11,8 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import queries
 from repro.core.engine import SimilarityEngine
+from repro.core.features import NormalFormSpace
 from repro.core.plan import QuerySpec
+from repro.core.transforms import moving_average
 from repro.data import SequenceRelation
 from repro.data.synthetic import random_walks
 from repro.scan import scan_knn
@@ -68,6 +71,86 @@ class TestKExceedsRelation:
             assert [(r, round(d, 9)) for r, d in got[i]] == [
                 (r, round(d, 9)) for r, d in want
             ]
+
+
+def knn(engine, series, k, method, t):
+    return engine.plan(
+        QuerySpec(kind="knn", series=series, k=k, method=method, transformation=t)
+    ).execute()
+
+
+def assert_same(got, want):
+    assert [r for r, _ in got] == [r for r, _ in want]
+    assert [d for _, d in got] == pytest.approx([d for _, d in want], abs=1e-9)
+
+
+class TestTies:
+    """Equal distances resolve to the lowest record id on both paths.
+
+    Every row of the relation appears at least twice, so ties straddle
+    the k-th position and the index path's seed pool; the index answer
+    must equal the scan's list for list.
+    """
+
+    @pytest.fixture(scope="class")
+    def dup_engine(self, matrix) -> SimilarityEngine:
+        rows = np.concatenate([matrix, matrix[::-1], matrix[[3, 3, 3]]])
+        return SimilarityEngine(SequenceRelation.from_matrix(rows))
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("mavg", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_index_equals_scan(self, dup_engine, matrix, mavg, k, block, monkeypatch):
+        if block is not None:
+            # verify candidates a few rows at a time: ties must survive the
+            # radius tightening between blocks
+            monkeypatch.setattr(queries, "_VERIFY_BLOCK", block)
+        t = moving_average(N, 8) if mavg else None
+        batch = np.stack([matrix[3], matrix[0], random_walks(1, N, seed=99)[0]])
+        for series in batch:
+            assert_same(
+                knn(dup_engine, series, k, "index", t),
+                knn(dup_engine, series, k, "scan", t),
+            )
+        got = knn(dup_engine, batch, k, "index", t)
+        want = knn(dup_engine, batch, k, "scan", t)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+
+    def test_copies_of_the_query_come_back_in_id_order(self, dup_engine, matrix):
+        # matrix[3] sits at ids 3, 2*COUNT-4 and the three appended rows
+        got = knn(dup_engine, matrix[3], 5, "index", None)
+        appended = [2 * COUNT, 2 * COUNT + 1, 2 * COUNT + 2]
+        assert [r for r, _ in got] == [3, 2 * COUNT - 4, *appended]
+        assert [d for _, d in got] == pytest.approx([0.0] * 5, abs=1e-9)
+
+
+class TestVerifyBlocks:
+    """Candidates verified a few rows at a time give the scan's answer.
+
+    Blocks run in bound order and each tightens the radius, so stopping
+    at the first block beyond it is exact only if that order holds.
+    """
+
+    @pytest.fixture(scope="class")
+    def big_engine(self) -> SimilarityEngine:
+        # one coefficient: a loose bound, so many rows lie within the radius
+        return SimilarityEngine(
+            SequenceRelation.from_matrix(random_walks(400, N, seed=5)),
+            space=NormalFormSpace(N, 1, coord="polar"),
+        )
+
+    @pytest.mark.parametrize("block", [1, 8])
+    @pytest.mark.parametrize("mavg", [False, True])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_small_blocks_match_scan(self, big_engine, mavg, k, block, monkeypatch):
+        monkeypatch.setattr(queries, "_VERIFY_BLOCK", block)
+        t = moving_average(N, 8) if mavg else None
+        batch = random_walks(12, N, seed=6)
+        got = knn(big_engine, batch, k, "index", t)
+        want = knn(big_engine, batch, k, "scan", t)
+        for g, w in zip(got, want):
+            assert_same(g, w)
 
 
 class TestEmptyRelation:

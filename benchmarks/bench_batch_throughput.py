@@ -1,14 +1,13 @@
-"""Throughput of the engine-level batch APIs versus the scalar baseline.
+"""Throughput of the engine-level batch APIs.
 
 Three headline numbers for the batch execution layer:
 
 * **build speedup** — index construction (batched extraction + ground
   spectra) against the seed's per-row scalar pipeline,
-* **queries/sec** — ``range_query_batch`` / ``knn_query_batch`` against a
-  loop of scalar-path single queries, and
-* **fused-probe speedup** — the plan layer's ``BatchIndexProbe``
-  (one multi-query tree descent for the whole batch) against the PR-1
-  per-query loop over a shared transformed view.
+* **queries/sec** — ``range_query_batch`` / ``knn_query_batch``, and
+* **fused-probe speedup** — the plan layer's ``IndexProbe`` (one
+  multi-query tree descent for the whole batch) against a per-query
+  loop of recursive searches over a shared transformed view.
 
 Run:  ``PYTHONPATH=src python -m benchmarks.bench_batch_throughput``
 Quick: add ``--count 2000 --queries 50``.
@@ -72,21 +71,13 @@ def main() -> None:
     probe_rows = []
     for label, transformation in (("identity", None), ("mavg20", t)):
         t0 = time.perf_counter()
-        for series in queries:
-            q.range_query(
-                engine.tree, engine.space, engine.ground_spectra,
-                engine.query_spectrum(series), engine.query_point(series),
-                RANGE_EPS, transformation=transformation, batched=False,
-            )
-        scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
         engine.range_query_batch(queries, RANGE_EPS, transformation=transformation)
         batch_s = time.perf_counter() - t0
-        rows.append((f"range/{label}", len(queries) / scalar_s,
-                     len(queries) / batch_s, scalar_s / batch_s))
+        rows.append((f"range/{label}", len(queries) / batch_s))
 
-        # Fused multi-query descent vs the PR-1 shared-view per-query loop
-        # (probe phase only: identical candidate sets, different traversal).
+        # Fused multi-query descent vs a shared-view per-query loop of the
+        # recursive reference search (probe phase only: identical
+        # candidate sets, different traversal).
         _, q_points = engine._query_reps_batch(queries, transformation, False)
         view = q._make_view(engine.tree, engine.space, transformation)
         rects = [
@@ -105,22 +96,13 @@ def main() -> None:
         probe_rows.append((f"probe/{label}", loop_s, fused_s, loop_s / fused_s))
 
         t0 = time.perf_counter()
-        for series in queries:
-            q.knn_query(
-                engine.tree, engine.space, engine.ground_spectra,
-                engine.query_spectrum(series), engine.query_point(series),
-                KNN_K, transformation=transformation, batched=False,
-            )
-        scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
         engine.knn_query_batch(queries, KNN_K, transformation=transformation)
         batch_s = time.perf_counter() - t0
-        rows.append((f"knn/{label}", len(queries) / scalar_s,
-                     len(queries) / batch_s, scalar_s / batch_s))
+        rows.append((f"knn/{label}", len(queries) / batch_s))
 
     print_series(
-        f"Query throughput ({args.count} series, {args.queries} queries)",
-        ["workload", "scalar q/s", "batched q/s", "speedup"],
+        f"Batch query throughput ({args.count} series, {args.queries} queries)",
+        ["workload", "q/s"],
         rows,
     )
     print_series(

@@ -61,7 +61,6 @@ def run_scan(engine, queries, t):
                 t.apply_spectrum(engine.query_spectrum(q)),
                 eps,
                 transformation=t,
-                early_abandon=True,
             )
         )
     return total

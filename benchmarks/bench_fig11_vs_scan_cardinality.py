@@ -52,7 +52,6 @@ def run_scan(engine, queries, t):
                 t.apply_spectrum(engine.query_spectrum(q)),
                 EPS,
                 transformation=t,
-                early_abandon=True,
             )
         )
     return total

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the batch execution layer's hot paths.
 
-Times every scalar-vs-batched pair the batch layer replaces — index build
-(extraction + ground spectra), range-query verification, end-to-end range
-and k-NN latency, and the all-pairs join — and emits a machine-readable
+Times every reference-vs-production pair the batch layer replaces — index
+build (extraction + ground spectra), range-query verification, end-to-end
+k-NN latency, and the all-pairs index join — and emits a machine-readable
 ``BENCH_hotpaths.json`` at the repository root so future PRs can track the
 performance trajectory.
 
@@ -96,38 +96,36 @@ def bench_range_verification(
 
 
 def bench_query_latency(engine: SimilarityEngine, queries: np.ndarray) -> dict:
-    """End-to-end range and k-NN latency, scalar vs batched paths."""
+    """End-to-end single-query k-NN latency: kernel vs kernel-less view.
+
+    The reference side is the best-first walk that runs on a view without
+    the frozen kernel (the degraded tier); the batched side is the
+    production path, each query a batch of one.
+    """
     space, spectra = engine.space, engine.ground_spectra
+    ref_view = q._make_view(engine.tree, space, None)
+    ref_view.kernel = None
 
-    def run_range(batched: bool) -> None:
-        for series in queries:
-            q.range_query(
-                engine.tree, space, spectra,
-                engine.query_spectrum(series), engine.query_point(series),
-                RANGE_EPS, batched=batched,
-            )
-
-    def run_knn(batched: bool) -> None:
+    def run_knn(view) -> None:
         for series in queries:
             q.knn_query(
                 engine.tree, space, spectra,
                 engine.query_spectrum(series), engine.query_point(series),
-                KNN_K, batched=batched,
+                KNN_K, view=view,
             )
 
-    out = {}
-    for name, fn in (("range", run_range), ("knn", run_knn)):
-        # Best-of-N on both sides: the speedup ratios feed the CI
-        # regression gate, so single-shot timing noise matters.
-        batched_s = _timed(lambda: fn(True), repeats=2)
-        scalar_s = _timed(lambda: fn(False), repeats=2)
-        out[name] = {
+    # Best-of-N on both sides: the speedup ratio feeds the CI regression
+    # gate, so single-shot timing noise matters.
+    batched_s = _timed(lambda: run_knn(None), repeats=2)
+    scalar_s = _timed(lambda: run_knn(ref_view), repeats=2)
+    return {
+        "knn": {
             "queries": len(queries),
             "scalar_ms_per_query": 1000 * scalar_s / len(queries),
             "batched_ms_per_query": 1000 * batched_s / len(queries),
             "speedup": scalar_s / batched_s,
         }
-    return out
+    }
 
 
 def bench_knn_batch(engine: SimilarityEngine, queries: np.ndarray, k: int) -> dict:
@@ -177,18 +175,9 @@ def bench_all_pairs(matrix: np.ndarray, eps: float) -> dict:
     engine = SimilarityEngine(rel)
     spectra = engine.ground_spectra
     out = {"count": matrix.shape[0]}
-    batched_s = _timed(
-        lambda: q.all_pairs_scan(spectra, eps, early_abandon=True, batched=True)
+    out["scan_abandon_s"] = _timed(
+        lambda: q.all_pairs_scan(spectra, eps, early_abandon=True)
     )
-    scalar_s = _timed(
-        lambda: q.all_pairs_scan(spectra, eps, early_abandon=True, batched=False),
-        repeats=2,
-    )
-    out["scan_abandon"] = {
-        "scalar_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup": scalar_s / batched_s,
-    }
 
     # Index nested-loop join: the pre-kernel path posed one recursive range
     # query per outer record; the kernel path runs one frontier-pair
@@ -321,8 +310,8 @@ def main() -> None:
 
     report["latency"] = bench_query_latency(engine, queries)
     print_series(
-        "End-to-end latency (ms/query)",
-        ["query", "scalar", "batched", "speedup"],
+        "End-to-end latency (ms/query), kernel-less reference vs kernel",
+        ["query", "reference", "kernel", "speedup"],
         [
             (name, row["scalar_ms_per_query"], row["batched_ms_per_query"],
              row["speedup"])
@@ -345,15 +334,13 @@ def main() -> None:
     ap = report["all_pairs"]
     print_series(
         f"All-pairs ({ap['count']} series, eps={JOIN_EPS})",
-        ["method", "seconds", "speedup"],
+        ["method", "seconds", "vs scan-abandon"],
         [
-            ("scan-abandon scalar", ap["scan_abandon"]["scalar_s"], 1.0),
-            ("scan-abandon batched", ap["scan_abandon"]["batched_s"],
-             ap["scan_abandon"]["speedup"]),
+            ("scan-abandon", ap["scan_abandon_s"], 1.0),
             ("index join recursive", ap["index_join"]["recursive_s"],
-             ap["scan_abandon"]["scalar_s"] / ap["index_join"]["recursive_s"]),
+             ap["scan_abandon_s"] / ap["index_join"]["recursive_s"]),
             ("index join kernel", ap["index_join"]["kernel_s"],
-             ap["scan_abandon"]["scalar_s"] / ap["index_join"]["kernel_s"]),
+             ap["scan_abandon_s"] / ap["index_join"]["kernel_s"]),
         ],
     )
 

@@ -273,28 +273,6 @@ class SimilarityEngine:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _query_reps(
-        self,
-        series: ArrayLike,
-        transformation: Optional[Transformation],
-        transform_query: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Spectrum and feature point of the query object.
-
-        With ``transform_query`` the transformation is applied to the query
-        side too, turning the predicate into ``D(T(record), T(query))`` —
-        the symmetric semantics of the Section 2 examples and the Table-1
-        join ("apply T_mavg20 ... to both the index and the search
-        rectangles").  Without it, the predicate is Algorithm 2's literal
-        ``D(T(record), query)``.
-        """
-        q_spec = self.query_spectrum(series)
-        q_point = self.query_point(series)
-        if transform_query and transformation is not None:
-            q_spec = transformation.apply_spectrum(q_spec)
-            q_point = self.space.affine_map(transformation).apply_point(q_point)
-        return q_spec, q_point
-
     def range_query(
         self,
         series: ArrayLike,
@@ -352,7 +330,16 @@ class SimilarityEngine:
         transformation: Optional[Transformation],
         transform_query: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_query_reps`: one numpy pipeline for all queries."""
+        """Spectra and feature points of an ``(m, n)`` matrix of queries.
+
+        One numpy pipeline for all rows (a single query is a batch of
+        one).  With ``transform_query`` the transformation is applied to
+        the query side too, turning the predicate into
+        ``D(T(record), T(query))`` — the symmetric semantics of the
+        Section 2 examples and the Table-1 join ("apply T_mavg20 ... to
+        both the index and the search rectangles").  Without it, the
+        predicate is Algorithm 2's literal ``D(T(record), query)``.
+        """
         rows = np.asarray(series_matrix, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.space.n:
             raise ValueError(
@@ -381,7 +368,7 @@ class SimilarityEngine:
 
         Deprecated shim over :meth:`plan`.  Preprocessing is shared across
         the batch and the whole batch probes the index through one fused
-        tree descent (:class:`~repro.core.ops.BatchIndexProbe`), so node
+        tree descent (:class:`~repro.core.ops.IndexProbe`), so node
         visits are amortised across queries.  Returns one result list per
         query row, in order.
         """

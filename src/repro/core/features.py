@@ -348,27 +348,28 @@ class FeatureSpace(ABC):
                 )
             for i, (lo, hi) in enumerate(aux_bounds):
                 lows[:, i], highs[:, i] = lo, hi
-        for i in range(self.k):
-            e = eps / math.sqrt(self.weights[i])
-            base = self.aux_dims + 2 * i
-            if self.coord == "rect":
-                lows[:, base] = p[:, base] - e
-                highs[:, base] = p[:, base] + e
-                lows[:, base + 1] = p[:, base + 1] - e
-                highs[:, base + 1] = p[:, base + 1] + e
-            else:
-                mag = p[:, base]
-                alpha = p[:, base + 1]
-                lows[:, base] = xp.maximum(0.0, mag - e)
-                highs[:, base] = mag + e
-                # Fig. 7: the angular half-width is asin(eps/m) when the
-                # magnitude box stays away from the origin; otherwise the
-                # whole circle is admissible.
-                safe = mag > e
-                ratio = xp.minimum(xp.divide(e, xp.where(safe, mag, 1.0)), 1.0)
-                half = xp.where(safe, xp.arcsin(ratio), 0.0)
-                lows[:, base + 1] = xp.where(safe, alpha - half, -math.pi)
-                highs[:, base + 1] = xp.where(safe, alpha + half, math.pi)
+        # All k coefficients at once: columns aux+0, aux+2, ... hold the
+        # real parts / magnitudes, the odd ones the imaginary parts / angles.
+        e = eps / xp.sqrt(self.weights)
+        first = slice(self.aux_dims, None, 2)
+        second = slice(self.aux_dims + 1, None, 2)
+        if self.coord == "rect":
+            lows[:, first] = p[:, first] - e
+            highs[:, first] = p[:, first] + e
+            lows[:, second] = p[:, second] - e
+            highs[:, second] = p[:, second] + e
+        else:
+            mag = p[:, first]
+            alpha = p[:, second]
+            lows[:, first] = xp.maximum(0.0, mag - e)
+            highs[:, first] = mag + e
+            # Fig. 7: the angular half-width is asin(eps/m) when the
+            # magnitude box stays away from the origin; otherwise the
+            # whole circle is admissible (eps/inf = 0 keeps asin in range).
+            safe = mag > e
+            half = xp.arcsin(e / xp.where(safe, mag, xp.inf))
+            lows[:, second] = xp.where(safe, alpha - half, -math.pi)
+            highs[:, second] = xp.where(safe, alpha + half, math.pi)
         return lows, highs
 
     def expand_rect(self, rect: Rect, eps: float) -> Rect:

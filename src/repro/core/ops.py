@@ -13,9 +13,8 @@ query pipeline and exposes the same two-method surface:
 The operators mirror the paper's three-phase shape (Section 4 /
 Algorithm 2):
 
-* :class:`IndexProbe` / :class:`BatchIndexProbe` — phase 2, the search
-  over the transformed R-tree view (Algorithm 1), producing candidate
-  record ids;
+* :class:`IndexProbe` — phase 2, the search over the transformed R-tree
+  view (Algorithm 1), producing candidate record ids per query row;
 * :class:`Verify` — phase 3, exact-distance post-processing of candidate
   ids with matrix-level early abandoning (no false positives);
 * :class:`SeqScan` — the competing access path: the tuned
@@ -45,7 +44,7 @@ from repro.rtree.backend import xp
 from repro.core import queries as q
 from repro.core.transforms import Transformation
 from repro.rtree.kernel import FrontierStats
-from repro.scan import scan_knn, scan_range, scan_range_many
+from repro.scan import scan_knn, scan_range_many
 
 Match = tuple[int, float]
 
@@ -131,59 +130,13 @@ class Operator(ABC):
 class IndexProbe(Operator):
     """Range search over the transformed index view (Algorithm 2, step 2).
 
-    Produces the candidate record ids whose (transformed) feature points
-    fall inside the query's search rectangle; Lemma 1 guarantees the set
-    has no false dismissals.
-    """
-
-    def __init__(
-        self,
-        q_point: xp.ndarray,
-        eps: float,
-        transformation: Optional[Transformation] = None,
-        aux_bounds: Optional[Sequence[tuple[float, float]]] = None,
-    ) -> None:
-        super().__init__()
-        self.q_point = q_point
-        self.eps = eps
-        self.transformation = transformation
-        self.aux_bounds = aux_bounds
-
-    def _execute(self, ctx: ExecContext) -> xp.ndarray:
-        engine = ctx.engine
-        view = q._make_view(engine.tree, engine.space, self.transformation)
-        qrect = engine.space.search_rect(
-            self.q_point, self.eps, aux_bounds=self.aux_bounds
-        )
-        self.frontier = FrontierStats()
-        ids = view.search_ids(qrect, fstats=self.frontier, budget=ctx.budget)
-        if ctx.budget is not None:
-            ctx.budget.charge_candidates(int(ids.shape[0]), where="index probe")
-        if ctx.stats is not None:
-            ctx.stats.candidate_count += ids.shape[0]
-        return ids
-
-    def _describe(self) -> dict:
-        return {
-            "eps": self.eps,
-            "transformation": self._tname(self.transformation),
-            "aux_bounds": (
-                None
-                if self.aux_bounds is None
-                else [[float(lo), float(hi)] for lo, hi in self.aux_bounds]
-            ),
-        }
-
-
-class BatchIndexProbe(Operator):
-    """Multi-query index probe sharing one tree descent across the batch.
-
-    All query search rectangles traverse the tree together
-    (:meth:`~repro.rtree.transformed.TransformedIndexView.search_many`):
+    Produces, per query row, the candidate record ids whose (transformed)
+    feature points fall inside that query's search rectangle; Lemma 1
+    guarantees each set has no false dismissals.  All rows descend the
+    tree together (:meth:`~repro.rtree.transformed.TransformedIndexView.search_many`):
     each node is read and transformed at most once per batch, and a
     subtree is visited with only the queries whose rectangles reach it.
-    Candidate sets per query are identical to separate :class:`IndexProbe`
-    runs.
+    A single query is a batch of one.
     """
 
     def __init__(
@@ -207,16 +160,14 @@ class BatchIndexProbe(Operator):
             self.q_points, self.eps, aux_bounds=self.aux_bounds
         )
         self.frontier = FrontierStats()
-        id_lists = view.search_many(
+        out = view.search_many(
             qlows, qhighs, fstats=self.frontier, budget=ctx.budget
         )
-        out = [xp.asarray(ids, dtype=xp.intp) for ids in id_lists]
+        candidates = sum(int(a.shape[0]) for a in out)
         if ctx.budget is not None:
-            ctx.budget.charge_candidates(
-                sum(int(a.shape[0]) for a in out), where="batch index probe"
-            )
+            ctx.budget.charge_candidates(candidates, where="index probe")
         if ctx.stats is not None:
-            ctx.stats.candidate_count += sum(a.shape[0] for a in out)
+            ctx.stats.candidate_count += candidates
         return out
 
     def _describe(self) -> dict:
@@ -224,7 +175,11 @@ class BatchIndexProbe(Operator):
             "queries": int(self.q_points.shape[0]),
             "eps": self.eps,
             "transformation": self._tname(self.transformation),
-            "shared_descent": True,
+            "aux_bounds": (
+                None
+                if self.aux_bounds is None
+                else [[float(lo), float(hi)] for lo, hi in self.aux_bounds]
+            ),
         }
 
 
@@ -234,8 +189,8 @@ class SeqScan(Operator):
     A complete access path on its own: scanning the relation of spectra
     with exact distances (block-abandoned for range) both filters and
     verifies, so no separate :class:`Verify` stage follows it.  Handles
-    range and k-NN, single queries and batches (the batch paths hoist the
-    transformation over the relation once).
+    range and k-NN over a matrix of query spectra; the transformation is
+    hoisted over the relation once per batch.
     """
 
     def __init__(
@@ -245,7 +200,6 @@ class SeqScan(Operator):
         eps: Optional[float] = None,
         k: Optional[int] = None,
         transformation: Optional[Transformation] = None,
-        batch: bool = False,
     ) -> None:
         super().__init__()
         self.kind = kind
@@ -253,9 +207,8 @@ class SeqScan(Operator):
         self.eps = eps
         self.k = k
         self.transformation = transformation
-        self.batch = batch
 
-    def _execute(self, ctx: ExecContext):
+    def _execute(self, ctx: ExecContext) -> list[list[Match]]:
         engine = ctx.engine
         spectra = engine.ground_spectra
         if ctx.budget is not None:
@@ -263,30 +216,21 @@ class SeqScan(Operator):
             # (its runtime is bounded by the relation, not the query).
             ctx.budget.check(where="seq scan")
         if self.kind == "range":
-            if self.batch:
-                return scan_range_many(
-                    spectra, self.query_spectra, self.eps,
-                    transformation=self.transformation, stats=ctx.stats,
-                )
-            return scan_range(
+            return scan_range_many(
                 spectra, self.query_spectra, self.eps,
                 transformation=self.transformation, stats=ctx.stats,
             )
-        if self.batch:
-            if self.transformation is not None:
-                spectra = self.transformation.apply_spectrum(spectra)
-            return [
-                scan_knn(spectra, q_spec, self.k, stats=ctx.stats)
-                for q_spec in self.query_spectra
-            ]
-        return scan_knn(
-            spectra, self.query_spectra, self.k,
-            transformation=self.transformation, stats=ctx.stats,
-        )
+        if self.transformation is not None:
+            spectra = self.transformation.apply_spectrum(spectra)
+        return [
+            scan_knn(spectra, q_spec, self.k, stats=ctx.stats)
+            for q_spec in self.query_spectra
+        ]
 
     def _describe(self) -> dict:
         out = {
             "kind": self.kind,
+            "queries": int(self.query_spectra.shape[0]),
             "transformation": self._tname(self.transformation),
             "early_abandon": "matrix-blocked" if self.kind == "range" else False,
         }
@@ -294,8 +238,6 @@ class SeqScan(Operator):
             out["eps"] = self.eps
         if self.k is not None:
             out["k"] = self.k
-        if self.batch:
-            out["queries"] = int(self.query_spectra.shape[0])
         return out
 
 
@@ -307,9 +249,8 @@ class Verify(Operator):
 
     Fetches each candidate's full ground spectrum and checks the exact
     Euclidean distance with matrix-level early abandoning, guaranteeing no
-    false positives.  Consumes a single candidate array (under
-    :class:`IndexProbe`) or one array per query (under
-    :class:`BatchIndexProbe`).
+    false positives.  Consumes the :class:`IndexProbe`'s one candidate
+    array per query row.
     """
 
     def __init__(
@@ -342,14 +283,12 @@ class Verify(Operator):
         out.sort(key=lambda m: (m[1], m[0]))
         return out
 
-    def _execute(self, ctx: ExecContext):
+    def _execute(self, ctx: ExecContext) -> list[list[Match]]:
         candidates = self.children[0].execute(ctx)
-        if isinstance(candidates, list):  # batch: one id array per query
-            return [
-                self._verify_one(ctx, ids, self.query_spectra[i])
-                for i, ids in enumerate(candidates)
-            ]
-        return self._verify_one(ctx, candidates, self.query_spectra)
+        return [
+            self._verify_one(ctx, ids, self.query_spectra[i])
+            for i, ids in enumerate(candidates)
+        ]
 
     def _describe(self) -> dict:
         return {
@@ -368,8 +307,7 @@ class KnnSearch(Operator):
     The radius comes out of verification (a seed pool of the lowest
     bounds, :func:`repro.core.queries.knn_query_fused`), so this is a
     single operator rather than a probe/verify pair; ``entries_scanned``
-    counts the rows bounded.  Handles a single query or a batch sharing
-    one transformed view.
+    counts the rows bounded.  The query rows share one transformed view.
     """
 
     def __init__(
@@ -378,32 +316,18 @@ class KnnSearch(Operator):
         q_points: xp.ndarray,
         k: int,
         transformation: Optional[Transformation] = None,
-        batch: bool = False,
     ) -> None:
         super().__init__()
         self.query_spectra = query_spectra
         self.q_points = q_points
         self.k = k
         self.transformation = transformation
-        self.batch = batch
 
-    def _execute(self, ctx: ExecContext):
+    def _execute(self, ctx: ExecContext) -> list[list[Match]]:
         engine = ctx.engine
-        if self.k == 0:
-            # Defined once in the kernel: k == 0 is an empty answer, not an
-            # error (matching k > |relation| returning all records).
-            if not self.batch:
-                return []
-            return [[] for _ in range(self.q_points.shape[0])]
-        if not self.batch:
-            self.frontier = FrontierStats()
-            return q.knn_query(
-                engine.tree, engine.space, engine.ground_spectra,
-                self.query_spectra, self.q_points, self.k,
-                transformation=self.transformation, stats=ctx.stats,
-                frontier_stats=self.frontier, budget=ctx.budget,
-            )
         self.frontier = FrontierStats()
+        # k == 0 is an empty answer, not an error (matching k > |relation|
+        # returning all records); knn_query_fused defines it once.
         return q.knn_query_fused(
             engine.tree, engine.space, engine.ground_spectra,
             self.query_spectra, self.q_points, self.k,
@@ -412,15 +336,12 @@ class KnnSearch(Operator):
         )
 
     def _describe(self) -> dict:
-        out = {
+        return {
+            "queries": int(self.q_points.shape[0]),
             "k": self.k,
             "transformation": self._tname(self.transformation),
             "strategy": "multi-step seeded radius (bound all, verify within r)",
         }
-        if self.batch:
-            out["queries"] = int(self.q_points.shape[0])
-            out["fused_frontier"] = True
-        return out
 
 
 class PairJoin(Operator):
@@ -496,35 +417,29 @@ class SubseqRangeSearch(Operator):
         eps: float,
         strategies: Sequence[str],
         window: int,
-        batch: bool = False,
     ) -> None:
         super().__init__()
         self.queries = list(queries)
         self.eps = eps
         self.strategies = list(strategies)
         self.window = window
-        self.batch = batch
 
     def _execute(self, ctx: ExecContext):
         stindex = ctx.engine
         self.frontier = FrontierStats()
-        results = stindex.range_query_batch(
+        return stindex.range_query_batch(
             self.queries, self.eps, fstats=self.frontier,
             probe=self.strategies, budget=ctx.budget,
         )
-        return results if self.batch else results[0]
 
     def _describe(self) -> dict:
-        out = {
+        return {
+            "queries": len(self.queries),
             "eps": self.eps,
             "window": self.window,
             "probe_strategies": self.strategies,
             "refine": "sliding-window matrix early-abandon",
         }
-        if self.batch:
-            out["queries"] = len(self.queries)
-            out["fused_probe"] = True
-        return out
 
 
 class SubseqKnnSearch(Operator):
@@ -542,24 +457,22 @@ class SubseqKnnSearch(Operator):
         queries: Sequence[xp.ndarray],
         k: int,
         window: int,
-        batch: bool = False,
     ) -> None:
         super().__init__()
         self.queries = list(queries)
         self.k = k
         self.window = window
-        self.batch = batch
 
     def _execute(self, ctx: ExecContext):
         stindex = ctx.engine
         self.frontier = FrontierStats()
-        results = stindex.knn_query_batch(
+        return stindex.knn_query_batch(
             self.queries, self.k, fstats=self.frontier, budget=ctx.budget
         )
-        return results if self.batch else results[0]
 
     def _describe(self) -> dict:
-        out = {
+        return {
+            "queries": len(self.queries),
             "k": self.k,
             "window": self.window,
             "strategy": (
@@ -567,10 +480,6 @@ class SubseqKnnSearch(Operator):
                 "(prefix features, shrinking radii)"
             ),
         }
-        if self.batch:
-            out["queries"] = len(self.queries)
-            out["fused_frontier"] = True
-        return out
 
 
 class DistCompute(Operator):

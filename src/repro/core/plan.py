@@ -26,15 +26,18 @@ Compilation follows the paper end to end:
    to the tuned sequential scan once that fraction exceeds the measured
    crossover (~0.15).  ``method="index"``/``"scan"`` force a path; join
    specs accept the Table-1 method names.
-3. **Build the operator tree** —
-   :class:`~repro.core.ops.IndexProbe`/:class:`~repro.core.ops.BatchIndexProbe`
-   under a :class:`~repro.core.ops.Verify`, a standalone
+3. **Build the operator tree** — an
+   :class:`~repro.core.ops.IndexProbe` under a
+   :class:`~repro.core.ops.Verify`, a standalone
    :class:`~repro.core.ops.SeqScan`, a
    :class:`~repro.core.ops.KnnSearch`, or a
    :class:`~repro.core.ops.PairJoin`.
 
-Both access paths return the exact answer set (the estimator can only
-affect latency, never correctness), which the parity tests assert.
+Range and k-NN operators always run over a ``(q, n)`` query matrix; a
+single series compiles to ``q = 1`` and :meth:`PhysicalPlan.execute`
+unwraps its one answer.  Both access paths return the exact answer set
+(the estimator can only affect latency, never correctness), which the
+parity tests assert.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ class QuerySpec:
 
     Args:
         kind: ``"range"``, ``"knn"``, ``"join"`` or ``"dist"``.
-        series: query payload — one series for a scalar range/k-NN query,
-            an ``(m, n)`` matrix for a batched one, the first operand of a
-            ``dist`` spec; unused for joins.
+        series: query payload — one series for a single range/k-NN query
+            (answered as a batch of one), an ``(m, n)`` matrix for a
+            batch, the first operand of a ``dist`` spec; unused for joins.
         other: second operand of a ``dist`` spec.
         eps: similarity threshold (range and join).
         k: neighbour count (k-NN).
@@ -166,10 +169,17 @@ class PhysicalPlan:
         self.spec = spec
 
     def execute(self) -> Any:
-        """Run the plan; the result type matches the spec kind."""
+        """Run the plan; the result type matches the spec kind.
+
+        Query operators answer one list per query row; a spec with a
+        single series gets its row's list.
+        """
         if self.ctx.budget is not None:
             self.ctx.budget.start()
-        return self.root.execute(self.ctx)
+        result = self.root.execute(self.ctx)
+        if self.logical.batch or self.spec.kind in ("join", "dist"):
+            return result
+        return result[0]
 
     def explain(self) -> dict:
         """The plan as a JSON-friendly dict (``EXPLAIN`` output)."""
@@ -223,7 +233,11 @@ def _mapping_for(engine, t: Optional[Transformation]) -> AffineMap:
 def _route_range(
     engine, spec: QuerySpec, q_points: np.ndarray, batch: bool, estimator
 ) -> LogicalPlan:
-    """Access-path selection for a range spec (Figure 12's crossover)."""
+    """Access-path selection for a range spec (Figure 12's crossover).
+
+    ``q_points`` holds one feature point per query row; ``batch`` only
+    labels the plan.
+    """
     logical = LogicalPlan(
         kind="range", access_path="index", method_hint=spec.method, batch=batch
     )
@@ -260,16 +274,15 @@ def _route_range(
     if len(engine.relation) == 0:
         logical.reason = "empty relation"
         return logical
-    pts = q_points if batch else q_points[None, :]
-    if pts.shape[0] == 0:
+    if q_points.shape[0] == 0:
         logical.reason = "empty query batch"
         return logical
     if estimator is None:
         estimator = engine.estimator
     mapping = _mapping_for(engine, spec.transformation)
     fractions = [
-        estimator.fraction(engine.space, pts[i], spec.eps, mapping)
-        for i in range(pts.shape[0])
+        estimator.fraction(engine.space, point, spec.eps, mapping)
+        for point in q_points
     ]
     fraction = float(np.mean(fractions))
     logical.estimated_fraction = fraction
@@ -313,14 +326,11 @@ def compile_spec(engine, spec: QuerySpec, estimator=None) -> PhysicalPlan:
         raise ValueError(f"a {spec.kind!r} spec requires a query series")
     rows = require_finite(spec.series, "query series")
     batch = rows.ndim == 2
-    if batch:
-        q_specs, q_points = engine._query_reps_batch(
-            rows, spec.transformation, spec.transform_query
-        )
-    else:
-        q_specs, q_points = engine._query_reps(
-            rows, spec.transformation, spec.transform_query
-        )
+    if rows.ndim == 1:
+        rows = rows[None, :]  # a single query is a batch of one
+    q_specs, q_points = engine._query_reps_batch(
+        rows, spec.transformation, spec.transform_query
+    )
     if spec.kind == "range":
         if spec.eps is None:
             raise ValueError("a 'range' spec requires eps")
@@ -335,11 +345,10 @@ def compile_spec(engine, spec: QuerySpec, estimator=None) -> PhysicalPlan:
         if logical.access_path == "scan":
             root: ops.Operator = ops.SeqScan(
                 "range", q_specs, eps=spec.eps,
-                transformation=spec.transformation, batch=batch,
+                transformation=spec.transformation,
             )
         else:
-            probe_cls = ops.BatchIndexProbe if batch else ops.IndexProbe
-            probe = probe_cls(
+            probe = ops.IndexProbe(
                 q_points, spec.eps,
                 transformation=spec.transformation, aux_bounds=spec.aux_bounds,
             )
@@ -369,8 +378,7 @@ def compile_spec(engine, spec: QuerySpec, estimator=None) -> PhysicalPlan:
             logical.degraded_from = "index"
             logical.reason = f"index unavailable ({failed}); degraded to scan"
         root = ops.SeqScan(
-            "knn", q_specs, k=spec.k,
-            transformation=spec.transformation, batch=batch,
+            "knn", q_specs, k=spec.k, transformation=spec.transformation,
         )
     else:
         logical.reason = (
@@ -379,8 +387,7 @@ def compile_spec(engine, spec: QuerySpec, estimator=None) -> PhysicalPlan:
         )
         _note_kernel_degradation(engine, logical)
         root = ops.KnnSearch(
-            q_specs, q_points, spec.k,
-            transformation=spec.transformation, batch=batch,
+            q_specs, q_points, spec.k, transformation=spec.transformation,
         )
     return PhysicalPlan(root, ctx, logical, spec)
 
@@ -533,8 +540,7 @@ def compile_subseq_spec(stindex, spec: QuerySpec) -> PhysicalPlan:
             reason=reason,
         )
         root: ops.Operator = ops.SubseqRangeSearch(
-            qs, spec.eps, [c.strategy for c in choices],
-            window=stindex.window, batch=batch,
+            qs, spec.eps, [c.strategy for c in choices], window=stindex.window,
         )
         return PhysicalPlan(root, ctx, logical, spec)
 
@@ -555,7 +561,7 @@ def compile_subseq_spec(stindex, spec: QuerySpec) -> PhysicalPlan:
             "(prefix-window features, per-query shrinking radii)"
         ),
     )
-    root = ops.SubseqKnnSearch(qs, spec.k, window=stindex.window, batch=batch)
+    root = ops.SubseqKnnSearch(qs, spec.k, window=stindex.window)
     return PhysicalPlan(root, ctx, logical, spec)
 
 

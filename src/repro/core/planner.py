@@ -291,6 +291,20 @@ class QueryPlanner:
             return AffineMap.identity(space.dim)
         return space.affine_map(transformation)
 
+    def _point(
+        self,
+        series: ArrayLike,
+        transformation: Optional[Transformation],
+        transform_query: bool,
+    ) -> np.ndarray:
+        """The query's feature point, from the engine's batch pipeline."""
+        _, q_points = self.engine._query_reps_batch(
+            np.asarray(series, dtype=np.float64)[None, :],
+            transformation,
+            transform_query,
+        )
+        return q_points[0]
+
     def estimate_candidate_fraction(
         self,
         series: ArrayLike,
@@ -299,9 +313,11 @@ class QueryPlanner:
         transform_query: bool = False,
     ) -> float:
         """Estimated fraction of the relation the index filter would pass."""
-        _, q_point = self.engine._query_reps(series, transformation, transform_query)
         return self._estimator.fraction(
-            self.engine.space, q_point, eps, self._mapping(transformation)
+            self.engine.space,
+            self._point(series, transformation, transform_query),
+            eps,
+            self._mapping(transformation),
         )
 
     def choose(
@@ -312,9 +328,11 @@ class QueryPlanner:
         transform_query: bool = False,
     ) -> str:
         """``"index"`` or ``"scan"`` for this query."""
-        _, q_point = self.engine._query_reps(series, transformation, transform_query)
         return self._estimator.choose(
-            self.engine.space, q_point, eps, self._mapping(transformation)
+            self.engine.space,
+            self._point(series, transformation, transform_query),
+            eps,
+            self._mapping(transformation),
         )
 
     def execute(

@@ -1,6 +1,8 @@
-"""Query processing: Algorithm 2, multi-step k-NN, and the Table-1 joins.
+"""Query processing: multi-step k-NN and the Table-1 joins.
 
-Every function here follows the paper's three-phase shape:
+Every function here follows the paper's three-phase shape (the range
+query's form of it, Algorithm 2, is the operator chain
+:class:`~repro.core.ops.IndexProbe` → :class:`~repro.core.ops.Verify`):
 
 1. **Preprocessing** — move the query and transformation into the frequency
    domain, truncate to the ``k`` indexed coefficients, build a search
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.features import FeatureSpace
-from repro.core.similarity import batch_euclidean_within, euclidean_early_abandon
+from repro.core.similarity import batch_euclidean_within
 from repro.core.transforms import Transformation
 from repro.rtree.join import (
     index_nested_loop_join,
@@ -37,8 +39,6 @@ from repro.rtree.kernel import FrontierStats, cached_kernel
 from repro.rtree.search import incremental_nearest
 from repro.rtree.transformed import AffineMap, TransformedIndexView
 from repro.storage.stats import IOStats
-
-ArrayLike = Union[Sequence[float], np.ndarray]
 
 #: rows of candidate spectra gathered per verification step of the k-NN.
 _VERIFY_BLOCK = 1024
@@ -74,80 +74,6 @@ def _make_view(
     )
 
 
-def range_query(
-    tree,
-    space: FeatureSpace,
-    ground_spectra: np.ndarray,
-    query_spectrum: np.ndarray,
-    query_point: np.ndarray,
-    eps: float,
-    transformation: Optional[Transformation] = None,
-    aux_bounds: Optional[Sequence[tuple[float, float]]] = None,
-    stats: Optional[IOStats] = None,
-    batched: bool = True,
-    view: Optional[TransformedIndexView] = None,
-) -> list[Match]:
-    """Algorithm 2: all records with ``D(T(record), query) <= eps``.
-
-    Args:
-        tree: the R-tree over ``space``'s feature points.
-        space: the feature space the tree indexes.
-        ground_spectra: ``(m, n)`` complex matrix of full record spectra
-            (normal-form spectra for a :class:`NormalFormSpace`).
-        query_spectrum: full spectrum of the query object.
-        query_point: the query's feature point.
-        eps: similarity threshold.
-        transformation: safe transformation applied to the data side;
-            ``None`` (or the identity) reproduces a plain [AFS93] query.
-        aux_bounds: optional intervals constraining auxiliary dimensions.
-        stats: counter bundle for candidate/distance accounting.
-        batched: verify all candidates as one blocked matrix computation
-            (matrix-level early abandoning); the scalar per-candidate loop
-            is kept as the reference path.
-        view: prebuilt transformed view (batch APIs share one across
-            queries); built from ``transformation`` when ``None``.
-
-    Returns:
-        ``(record id, exact distance)`` pairs, sorted by distance.
-    """
-    if view is None:
-        view = _make_view(tree, space, transformation)
-    qrect = space.search_rect(query_point, eps, aux_bounds=aux_bounds)
-    out: list[Match] = []
-    if batched:
-        # Kernel-backed id probe (level-at-a-time frontier) plus blocked
-        # matrix verification; the scalar branch below is the reference.
-        cand_ids = view.search_ids(qrect)
-        n_candidates = int(cand_ids.shape[0])
-        abandoned = 0
-        completed = 0
-        if n_candidates:
-            kept, dists, abandoned = space.ground_distances_within_many(
-                ground_spectra[cand_ids], query_spectrum, eps, transformation
-            )
-            out = [(int(cand_ids[i]), float(d)) for i, d in zip(kept, dists)]
-            completed = len(kept)
-    else:
-        candidates = view.search(qrect)
-        n_candidates = len(candidates)
-        completed = 0
-        for entry in candidates:
-            d = space.ground_distance_within(
-                ground_spectra[entry.child], query_spectrum, eps, transformation
-            )
-            if d is not None:
-                out.append((entry.child, d))
-                completed += 1
-        abandoned = n_candidates - completed
-    if stats is not None:
-        stats.candidate_count += n_candidates
-        stats.distance_computations += n_candidates
-        stats.verifications_completed += completed
-        stats.verifications_abandoned += abandoned
-    out.sort(key=lambda m: (m[1], m[0]))
-    return out
-
-
 def knn_query(
     tree,
     space: FeatureSpace,
@@ -157,60 +83,57 @@ def knn_query(
     k: int,
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
-    batched: bool = True,
     view: Optional[TransformedIndexView] = None,
     frontier_stats: Optional[FrontierStats] = None,
     budget=None,
 ) -> list[Match]:
-    """Exact k-nearest-neighbours under a safe transformation.
-
-    Multi-step scheme: the *feature-space lower bound* (Lemma 1's
-    partial-energy bound) of a record never exceeds its exact distance,
-    so once some radius is known to hold ``k`` exact neighbours, every
-    record outside the answer can be dismissed on its bound alone.
-
-    With ``batched`` (the default) and a frozen kernel on the view the
-    query runs as a batch of one through :func:`knn_query_fused` — one
-    vectorised bound pass, then a range at a certified seed radius.
-    Otherwise entries stream out of the index in non-decreasing bound
-    order (the best-first reference) and the stream stops when the next
-    bound exceeds the ``k``-th best exact distance.
+    """Exact k-nearest-neighbours of one query: :func:`knn_query_fused`
+    on a batch of one.
 
     Edge cases: ``k == 0`` and an empty relation return ``[]``; ``k``
     exceeding the relation returns every record.  Negative ``k`` raises.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        return []
-    if view is None:
-        view = _make_view(tree, space, transformation)
-    if batched and view.kernel is not None:
-        return knn_query_fused(
-            tree, space, ground_spectra,
-            np.asarray(query_spectrum)[None, :],
-            np.asarray(query_point, dtype=np.float64)[None, :],
-            k, transformation=transformation, stats=stats, view=view,
-            frontier_stats=frontier_stats, budget=budget,
-        )[0]
-    q = np.asarray(query_point, dtype=np.float64)
-    best: list[tuple[float, int]] = []  # max-heap by negated distance
+    return knn_query_fused(
+        tree, space, ground_spectra,
+        np.asarray(query_spectrum)[None, :],
+        np.asarray(query_point, dtype=np.float64)[None, :],
+        k, transformation=transformation, stats=stats, view=view,
+        frontier_stats=frontier_stats, budget=budget,
+    )[0]
+
+
+def _knn_best_first(
+    view: TransformedIndexView,
+    space: FeatureSpace,
+    ground_spectra: np.ndarray,
+    query_spectrum: np.ndarray,
+    query_point: np.ndarray,
+    k: int,
+    transformation: Optional[Transformation],
+    stats: Optional[IOStats],
+    budget,
+) -> list[Match]:
+    """Best-first k-NN reference for a view without a frozen kernel.
+
+    Multi-step scheme: the *feature-space lower bound* (Lemma 1's
+    partial-energy bound) of a record never exceeds its exact distance,
+    so entries stream out of the index in non-decreasing bound order and
+    the stream stops when the next bound exceeds the ``k``-th best exact
+    distance.  The answer is the top ``k`` by ``(distance, id)``, so ties
+    go to the lowest id as on the kernel path and in the scan.
+    """
+    # Max-heap of the best k by (distance, id): items are (-d, -id), so the
+    # root is the worst kept match and an equal distance loses to a lower id.
+    best: list[tuple[float, int]] = []
     examined = 0
-    many_kwargs = (
-        {
-            "rect_dist_many": space.rect_mindist_many,
-            "point_dist_many": space.point_dist_many,
-        }
-        if batched
-        else {}
-    )
     for bound, entry in incremental_nearest(
         view,
-        q,
+        query_point,
         rect_dist=space.rect_mindist,
         point_dist=space.point_dist,
+        rect_dist_many=space.rect_mindist_many,
+        point_dist_many=space.point_dist_many,
         budget=budget,
-        **many_kwargs,
     ):
         if len(best) == k and bound > -best[0][0]:
             break
@@ -225,15 +148,16 @@ def knn_query(
             ground_spectra[entry.child], query_spectrum, transformation
         )
         examined += 1
+        item = (-d, -entry.child)
         if len(best) < k:
-            heapq.heappush(best, (-d, entry.child))
-        elif d < -best[0][0]:
-            heapq.heapreplace(best, (-d, entry.child))
+            heapq.heappush(best, item)
+        elif item > best[0]:
+            heapq.heapreplace(best, item)
     if stats is not None:
         stats.candidate_count += examined
         stats.distance_computations += examined
         stats.verifications_completed += examined
-    return sorted(((rid, -nd) for nd, rid in best), key=lambda m: (m[1], m[0]))
+    return sorted(((-nrid, -nd) for nd, nrid in best), key=lambda m: (m[1], m[0]))
 
 
 def knn_query_fused(
@@ -265,13 +189,20 @@ def knn_query_fused(
     Under a ``budget`` the pool and the pending candidates are charged,
     and the pending candidates are the frontier; when a limit fires the
     pool's exact top ``k`` is returned and ``budget.truncated`` set.  A
-    view without a frozen kernel runs the best-first reference of
-    :func:`knn_query` once per query.
+    view without a frozen kernel runs a best-first reference once per
+    query (the degraded tier and the tests' reference).
 
     Args:
         query_spectra: ``(m, n)`` full query spectra (verification side).
         query_points: ``(m, dim)`` query feature points (index side).
-        (remaining arguments as in :func:`knn_query`)
+        k: neighbours per query; ``0`` returns empty lists, and ``k``
+            exceeding the relation returns every record.
+        transformation: safe transformation applied to the data side.
+        stats: counter bundle for candidate/distance accounting.
+        view: prebuilt transformed view; built from ``transformation``
+            when ``None``.
+        frontier_stats: optional counters (rows bounded, pending peak).
+        budget: optional :class:`~repro.storage.budget.ResourceBudget`.
 
     Returns:
         one ``(record id, exact distance)`` list per query, in order.
@@ -286,10 +217,9 @@ def knn_query_fused(
         return [[] for _ in range(m)]
     if view.kernel is None:
         return [
-            knn_query(
-                tree, space, ground_spectra, query_spectra[i], q_points[i], k,
-                transformation=transformation, stats=stats, view=view,
-                budget=budget,
+            _knn_best_first(
+                view, space, ground_spectra, query_spectra[i], q_points[i], k,
+                transformation, stats, budget,
             )
             for i in range(m)
         ]
@@ -422,7 +352,6 @@ def all_pairs_scan(
     transformation: Optional[Transformation] = None,
     early_abandon: bool = False,
     stats: Optional[IOStats] = None,
-    batched: bool = True,
 ) -> list[tuple[int, int, float]]:
     """Table 1 methods *a* (``early_abandon=False``) and *b* (``True``).
 
@@ -436,10 +365,10 @@ def all_pairs_scan(
 
     The transformation is applied to the whole relation once up front
     (O(m) applications, not the O(m²) of re-transforming the inner side on
-    every comparison).  With ``batched`` each outer row is compared against
-    all later rows in one blocked matrix computation — method *b* drops
-    rows from the active set as their partial sums exceed ``eps²``, method
-    *a* runs the same blocks to completion.
+    every comparison).  Each outer row is compared against all later rows
+    in one blocked matrix computation — method *b* drops rows from the
+    active set as their partial sums exceed ``eps²``, method *a* runs the
+    same blocks to completion.
     """
     m = ground_spectra.shape[0]
     tspec = _transformed_spectra(ground_spectra, transformation)
@@ -447,20 +376,12 @@ def all_pairs_scan(
     computations = 0
     abandon_at = eps if early_abandon else float("inf")
     for i in range(m):
-        ti = tspec[i]
-        if batched:
-            rest = tspec[i + 1 :]
-            computations += rest.shape[0]
-            kept, dists, _ = batch_euclidean_within(rest, ti, abandon_at)
-            for j_off, d in zip(kept, dists):
-                if d <= eps:
-                    out.append((i, i + 1 + int(j_off), float(d)))
-        else:
-            for j in range(i + 1, m):
-                computations += 1
-                d = euclidean_early_abandon(ti, tspec[j], abandon_at)
-                if d is not None and d <= eps:
-                    out.append((i, j, d))
+        rest = tspec[i + 1 :]
+        computations += rest.shape[0]
+        kept, dists, _ = batch_euclidean_within(rest, tspec[i], abandon_at)
+        for j_off, d in zip(kept, dists):
+            if d <= eps:
+                out.append((i, i + 1 + int(j_off), float(d)))
     if stats is not None:
         stats.distance_computations += computations
     return out
@@ -474,7 +395,6 @@ def all_pairs_index(
     eps: float,
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
-    batched: bool = True,
     frontier_stats: Optional[FrontierStats] = None,
 ) -> list[tuple[int, int, float]]:
     """Table 1 methods *c* (no transformation) and *d* (with it).
@@ -486,21 +406,20 @@ def all_pairs_index(
     method *d* reports both orientations, which is why its Table-1 answer
     counts are doubled; see EXPERIMENTS.md.
 
-    The relation's spectra are transformed once up front; candidate pairs
-    are verified in matrix blocks when ``batched``.  With ``batched`` and
-    a frozen kernel the whole outer relation descends the inner index as
-    one frontier-pair traversal
-    (:func:`repro.rtree.join.index_nested_loop_join_pairs`) instead of one
-    recursive range query per outer record; candidate pair sets are
-    identical either way, and results are returned sorted by
-    ``(outer, inner)``.
+    The relation's spectra are transformed once up front and candidate
+    pairs are verified in matrix blocks.  With a frozen kernel the whole
+    outer relation descends the inner index as one frontier-pair
+    traversal (:func:`repro.rtree.join.index_nested_loop_join_pairs`);
+    without one, one recursive range query runs per outer record.
+    Candidate pair sets are identical either way, and results are
+    returned sorted by ``(outer, inner)``.
     """
     view = _make_view(tree, space, transformation)
     mapping = view.mapping
     tpoints = points * mapping.scale + mapping.offset
     tspec = _transformed_spectra(ground_spectra, transformation)
 
-    if batched and view.kernel is not None:
+    if view.kernel is not None:
         m = tpoints.shape[0]
         qlows, qhighs = space.search_rect_many(tpoints, eps)
         out = []
@@ -533,16 +452,7 @@ def all_pairs_index(
             make_search_rect=lambda pr: space.search_rect(pr.lows, eps),
             self_join=True,
         )
-        if batched:
-            out, candidates = _verify_pairs(tspec, pair_iter, eps)
-        else:
-            candidates = 0
-            out = []
-            for i, j in pair_iter:
-                candidates += 1
-                d = float(np.linalg.norm(tspec[i] - tspec[j]))
-                if d <= eps:
-                    out.append((i, j, d))
+        out, candidates = _verify_pairs(tspec, pair_iter, eps)
     if stats is not None:
         stats.candidate_count += candidates
         stats.distance_computations += candidates
@@ -558,11 +468,10 @@ def all_pairs_tree_join(
     eps: float,
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
-    batched: bool = True,
 ) -> list[tuple[int, int, float]]:
     """Self-join by synchronized tree descent (not in the paper; ablation).
 
-    With ``batched`` and a frozen kernel the join runs as one
+    With a frozen kernel the join runs as one
     frontier-pair traversal over the columnar arrays
     (:func:`repro.rtree.join.tree_matching_join_pairs`): the whole leaf
     relation is expanded by the join radius in one
@@ -575,7 +484,7 @@ def all_pairs_tree_join(
     """
     view = _make_view(tree, space, transformation)
     tspec = _transformed_spectra(ground_spectra, transformation)
-    if batched and view.kernel is not None:
+    if view.kernel is not None:
         outer_ids, inner_ids = tree_matching_join_pairs(
             view,
             view,
@@ -587,16 +496,7 @@ def all_pairs_tree_join(
         pair_iter = tree_matching_join(
             view, view, expand=lambda r: space.expand_rect(r, eps), self_join=True
         )
-        if batched:
-            out, candidates = _verify_pairs(tspec, pair_iter, eps)
-        else:
-            candidates = 0
-            out = []
-            for i, j in pair_iter:
-                candidates += 1
-                d = float(np.linalg.norm(tspec[i] - tspec[j]))
-                if d <= eps:
-                    out.append((i, j, d))
+        out, candidates = _verify_pairs(tspec, pair_iter, eps)
     if stats is not None:
         stats.candidate_count += candidates
         stats.distance_computations += candidates

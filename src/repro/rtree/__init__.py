@@ -17,8 +17,9 @@ paper builds on:
   built on the fly during search with no extra disk,
 * :mod:`~repro.rtree.kernel` — the columnar kernel: a built tree frozen
   into struct-of-arrays storage plus the iterative frontier engine that
-  runs range, fused multi-query range, block-yield incremental nearest,
-  fused batched k-NN and the frontier-pair join over it.
+  runs fused multi-query range (one query being a batch of one),
+  block-yield incremental nearest, fused batched k-NN and the
+  frontier-pair join over it.
 
 Trees store point entries (feature vectors) at the leaves and can be backed
 either by an in-memory node store or by the paged storage engine of

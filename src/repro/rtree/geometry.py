@@ -422,7 +422,8 @@ def intersects_circular_rows(
 
     Args:
         lows, highs: ``(m, d)`` per-rectangle bounds.
-        qlows, qhighs: ``(m, d)`` per-row query bounds.
+        qlows, qhighs: ``(m, d)`` per-row query bounds, or ``(d,)`` for
+            one query shared by every row.
         circular_mask: boolean ``(d,)`` mask of wrap-around dimensions.
         period: circumference of circular dimensions.
 
@@ -431,6 +432,10 @@ def intersects_circular_rows(
         ``intersects_circular(Rect(lows[i], highs[i]),
         Rect(qlows[i], qhighs[i]), mask)``.
     """
+    if qlows.ndim == 1:
+        return intersects_circular_many(
+            lows, highs, qlows, qhighs, circular_mask, period
+        )
     m = lows.shape[0]
     out = xp.ones(m, dtype=bool)
     if circular_mask is None:

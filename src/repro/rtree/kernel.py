@@ -17,8 +17,8 @@ opaque *id payload* for leaf entries — a record id for the engine's
 point trees (whose leaf rectangles are degenerate points, so
 ``entry_lows`` doubles as the point matrix), or any other identifier for
 box-leaf payloads such as the ST-index's sub-trail MBRs tagged with
-sub-trail ids.  The range probes (:meth:`FrozenRTree.range_ids`,
-:meth:`FrozenRTree.range_ids_many`, :meth:`FrozenRTree.join_pairs`) test
+sub-trail ids.  The range probes (:meth:`FrozenRTree.range_ids_many`,
+:meth:`FrozenRTree.join_pairs`) test
 full ``[lows, highs]`` intersection and therefore serve both payload
 kinds; :meth:`FrozenRTree.nearest_stream` scores leaves through
 ``entry_lows`` and assumes point leaves, while
@@ -33,12 +33,12 @@ handful of numpy calls.
 On top of the frozen arrays one **iterative frontier engine** replaces the
 per-algorithm recursive descents:
 
-* :meth:`FrozenRTree.range_ids` — vectorized level-at-a-time expansion for
-  a single range query;
 * :meth:`FrozenRTree.range_ids_many` / :meth:`FrozenRTree.join_pairs` —
   the fused multi-query frontier: a flat ``(node, query)`` pair frontier
-  expanded level-at-a-time, with the index nested-loop join expressed as
-  the same traversal plus a vectorized pair filter at the leaves;
+  expanded level-at-a-time (gather, transform, intersect as three fused
+  numpy steps per level; a single query is a batch of one), with the
+  index nested-loop join expressed as the same traversal plus a
+  vectorized pair filter at the leaves;
 * :meth:`FrozenRTree.nearest_stream` — best-first incremental nearest
   that pops nodes and pushes *distance-sorted entry blocks* (one heap item
   per block, advanced by position) instead of one heap item per entry;
@@ -70,7 +70,6 @@ from repro.rtree.backend import xp
 
 from repro.rtree.geometry import (
     Rect,
-    intersects_circular_many,
     intersects_circular_rows,
 )
 from repro.storage.budget import ResourceBudget
@@ -159,6 +158,12 @@ class FrozenRTree:
         self.entry_lows = entry_lows
         self.entry_highs = entry_highs
         self.entry_child = entry_child
+        # Read-only: leaf_entries() hands out views, and a write through one
+        # would silently corrupt every later traversal.
+        for arr in (
+            node_level, entry_start, entry_count, entry_lows, entry_highs, entry_child
+        ):
+            arr.flags.writeable = False
         self.root = 0
 
     # ------------------------------------------------------------------
@@ -402,59 +407,6 @@ class FrozenRTree:
         return self.entry_lows[tail:], self.entry_highs[tail:], self.entry_child[tail:]
 
     # ------------------------------------------------------------------
-    # range search (single query)
-    # ------------------------------------------------------------------
-    def range_ids(
-        self,
-        qlo: xp.ndarray,
-        qhi: xp.ndarray,
-        scale: Optional[xp.ndarray] = None,
-        offset: Optional[xp.ndarray] = None,
-        circular_mask: Optional[xp.ndarray] = None,
-        fstats: Optional[FrontierStats] = None,
-        io: Optional[IOStats] = None,
-        budget: Optional[ResourceBudget] = None,
-    ) -> xp.ndarray:
-        """Record ids whose transformed point intersects ``[qlo, qhi]``.
-
-        Level-at-a-time: the whole frontier of surviving nodes is expanded
-        per iteration — gather, transform, intersect as three fused numpy
-        steps — instead of one recursive call per node.  A ``budget`` is
-        checked once per level and raises
-        :class:`~repro.storage.budget.QueryBudgetExceeded` when the
-        deadline passes or the frontier outgrows its cap.
-        """
-        qlo = xp.asarray(qlo, dtype=xp.float64)
-        qhi = xp.asarray(qhi, dtype=xp.float64)
-        if self.entry_count[self.root] == 0:
-            return xp.empty(0, dtype=xp.int64)
-        scale, offset = self._affine(scale, offset)
-        frontier = xp.array([self.root], dtype=xp.int64)
-        level = int(self.node_level[self.root])
-        while frontier.size:
-            if budget is not None:
-                budget.check(int(frontier.size), where="range frontier")
-            if fstats is not None:
-                fstats.nodes_expanded += int(frontier.size)
-                fstats.observe(int(frontier.size))
-            if io is not None:
-                io.node_reads += int(frontier.size)
-            idx, _ = self._gather(frontier)
-            t_lo, t_hi = self._transformed(idx, scale, offset)
-            if circular_mask is None:
-                hits = Rect.intersects_many(t_lo, t_hi, qlo, qhi)
-            else:
-                hits = intersects_circular_many(t_lo, t_hi, qlo, qhi, circular_mask)
-            if fstats is not None:
-                fstats.entries_scanned += int(idx.size)
-            sel = idx[hits]
-            if level == 0:
-                return self.entry_child[sel]
-            frontier = self.entry_child[sel]
-            level -= 1
-        return xp.empty(0, dtype=xp.int64)
-
-    # ------------------------------------------------------------------
     # fused multi-query range + frontier-pair join
     # ------------------------------------------------------------------
     def _pair_frontier(
@@ -471,7 +423,10 @@ class FrozenRTree:
         """Drive a ``(node, query)`` pair frontier down to the leaves.
 
         Returns the surviving ``(record ids, query indices)`` arrays — the
-        flat candidate relation every fused traversal post-processes.
+        flat candidate relation every fused traversal post-processes.  A
+        ``budget`` is checked once per level and raises
+        :class:`~repro.storage.budget.QueryBudgetExceeded` when the
+        deadline passes or the frontier outgrows its cap.
         """
         m = qlows.shape[0]
         if m == 0 or self.entry_count[self.root] == 0:
@@ -480,6 +435,9 @@ class FrozenRTree:
         scale, offset = self._affine(scale, offset)
         fnodes = xp.full(m, self.root, dtype=xp.int64)
         fquery = xp.arange(m, dtype=xp.int64)
+        # One query needs no per-pair query column: its bounds broadcast
+        # over the gathered entries, and every pair belongs to row 0.
+        qlo, qhi = qlows[0], qhighs[0]
         level = int(self.node_level[self.root])
         while fnodes.size:
             if budget is not None:
@@ -490,24 +448,21 @@ class FrozenRTree:
             if io is not None:
                 io.node_reads += int(fnodes.size)
             idx, counts = self._gather(fnodes)
-            equery = xp.repeat(fquery, counts)
+            if m > 1:
+                equery = xp.repeat(fquery, counts)
+                qlo, qhi = qlows[equery], qhighs[equery]
             t_lo, t_hi = self._transformed(idx, scale, offset)
             if circular_mask is None:
-                hits = (
-                    xp.all(t_lo <= qhighs[equery], axis=1)
-                    & xp.all(qlows[equery] <= t_hi, axis=1)
-                )
+                hits = xp.all(t_lo <= qhi, axis=1) & xp.all(qlo <= t_hi, axis=1)
             else:
-                hits = intersects_circular_rows(
-                    t_lo, t_hi, qlows[equery], qhighs[equery], circular_mask
-                )
+                hits = intersects_circular_rows(t_lo, t_hi, qlo, qhi, circular_mask)
             if fstats is not None:
                 fstats.entries_scanned += int(idx.size)
-            sel = xp.nonzero(hits)[0]
+            fnodes = self.entry_child[idx[hits]]
+            if m > 1:
+                fquery = equery[hits]
             if level == 0:
-                return self.entry_child[idx[sel]], equery[sel]
-            fnodes = self.entry_child[idx[sel]]
-            fquery = equery[sel]
+                return fnodes, (fquery if m > 1 else xp.zeros_like(fnodes))
             level -= 1
         empty = xp.empty(0, dtype=xp.int64)
         return empty, empty
@@ -526,13 +481,16 @@ class FrozenRTree:
         """Fused multi-query range search: one id array per query row.
 
         All queries descend together as a pair frontier; per-query results
-        are regrouped at the end with one stable sort.  Candidate sets are
-        identical to ``m`` separate :meth:`range_ids` calls.
+        are regrouped at the end with one stable sort.  Each row's ids are
+        the leaf entries whose transformed box intersects that row's
+        ``[qlows, qhighs]``.
         """
         m = qlows.shape[0]
         recs, qidx = self._pair_frontier(
             qlows, qhighs, scale, offset, circular_mask, fstats, io, budget
         )
+        if m == 1:
+            return [recs]
         order = xp.argsort(qidx, kind="stable")
         recs = recs[order]
         bounds = xp.searchsorted(qidx[order], xp.arange(m + 1, dtype=xp.int64))

@@ -236,33 +236,6 @@ class TransformedIndexView:
         for i in np.nonzero(hits)[0]:
             self._search(node.entries[i].child, query, out)
 
-    def search_ids(
-        self,
-        query: Rect,
-        fstats: Optional[FrontierStats] = None,
-        budget=None,
-    ) -> np.ndarray:
-        """Matching record ids for a range query (the hot-path result form).
-
-        Runs through the columnar kernel's level-at-a-time frontier when
-        one is attached (bumping the store's logical ``node_reads`` by the
-        nodes expanded, so Figure 8/9-style access counting still works);
-        otherwise falls back to the recursive reference :meth:`search`
-        (where a ``budget``'s deadline is checked once before the
-        traversal — the reference path has no level loop to hook).
-        """
-        if self.kernel is not None:
-            return self.kernel.range_ids(
-                query.lows, query.highs,
-                self.mapping.scale, self.mapping.offset,
-                circular_mask=self.circular_mask,
-                fstats=fstats, io=self.tree.store.stats, budget=budget,
-            )
-        if budget is not None:
-            budget.check(where="reference range search")
-        hits = self.search(query)
-        return np.fromiter((e.child for e in hits), dtype=np.int64, count=len(hits))
-
     def search_many(
         self,
         qlows: np.ndarray,
@@ -273,20 +246,25 @@ class TransformedIndexView:
         """Multi-query range search sharing a single tree descent.
 
         Where :meth:`search` walks the tree once per query, this walks it
-        once per *batch*.  With a columnar kernel attached the batch runs
-        through the fused ``(node, query)`` pair frontier
+        once per *batch* (a single query is a batch of one).  With a
+        columnar kernel attached the batch runs through the fused
+        ``(node, query)`` pair frontier
         (:meth:`repro.rtree.kernel.FrozenRTree.range_ids_many`); without
         one, the reference implementation reads every node at most once
         and tests its entries against all still-active query rectangles in
-        one pairwise broadcast.  Either way the per-query candidate sets
-        are identical to ``m`` separate :meth:`search` calls.
+        one pairwise broadcast (a ``budget``'s deadline and frontier cap
+        are checked per popped node).  Either way the per-query candidate
+        sets are identical to ``m`` separate :meth:`search` calls, and
+        kernel views bump the store's logical ``node_reads`` by the nodes
+        expanded, so Figure 8/9-style access counting still works.
 
         Args:
             qlows, qhighs: stacked ``(m, dim)`` query-rectangle bounds.
             fstats: optional frontier counters (kernel path only).
 
         Returns:
-            one array/list of matching record ids per query, in query order.
+            one ``int64`` array of matching record ids per query, in query
+            order.
         """
         if self.kernel is not None:
             return self.kernel.range_ids_many(
@@ -299,9 +277,9 @@ class TransformedIndexView:
         from repro.rtree.geometry import intersects_circular_pairwise
 
         m = qlows.shape[0]
-        out: list[list[int]] = [[] for _ in range(m)]
         if m == 0:
-            return out
+            return []
+        out: list[list[int]] = [[] for _ in range(m)]
         stack: list[tuple[int, np.ndarray]] = [(self.tree.root_id, np.arange(m))]
         while stack:
             if budget is not None:
@@ -321,7 +299,7 @@ class TransformedIndexView:
                     sub = active[np.nonzero(hits[fi])[0]]
                     if sub.size:
                         stack.append((node.entries[fi].child, sub))
-        return out
+        return [np.asarray(ids, dtype=np.int64) for ids in out]
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Entry]:

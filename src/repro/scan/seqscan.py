@@ -29,11 +29,14 @@ def scan_range(
     query_spectrum: np.ndarray,
     eps: float,
     transformation: Optional[Transformation] = None,
-    early_abandon: bool = True,
     block: int = 4,
     stats: Optional[IOStats] = None,
 ) -> list[tuple[int, float]]:
     """Range query by scanning the frequency-domain relation.
+
+    The one-row case of :func:`scan_range_many`: every distance abandons
+    once its partial sum passes ``eps`` (per column block, over the whole
+    relation at once).
 
     Args:
         ground_spectra: ``(m, n)`` complex matrix of record spectra.
@@ -41,9 +44,6 @@ def scan_range(
         eps: similarity threshold.
         transformation: applied to each record during the comparison
             (the data side, matching Algorithm 2's semantics).
-        early_abandon: accepted for compatibility and ignored: the abandon
-            rule always runs per column block over the whole relation,
-            and ``False`` returns the same answer list.
         block: coefficients accumulated per early-abandon step.
         stats: counter bundle.
 

@@ -29,6 +29,7 @@ from repro.data.synthetic import random_walks
 from repro.dft import dft, dft_many
 from repro.rtree.geometry import Rect
 from repro.storage.stats import IOStats
+from test_batch_oracle import ground_rows, oracle_distances, spectra
 
 N = 32
 
@@ -192,22 +193,35 @@ def transform_pool(space):
     return pool
 
 
+def oracle_dists(eng, matrix, series, t=None):
+    """``D(T(record), series)`` for every record, from numpy alone."""
+    kind = "plain" if isinstance(eng.space, PlainDFTSpace) else "normal"
+    return oracle_distances(kind, matrix, np.asarray(series)[None, :], t)[0]
+
+
+def pair_oracle(tspec, eps):
+    """Every ``(i, j, d)`` with ``i < j`` and ``d <= eps``, in id order."""
+    d = np.linalg.norm(tspec[:, None, :] - tspec[None, :, :], axis=2)
+    return [
+        (int(i), int(j), float(d[i, j]))
+        for i, j in zip(*np.nonzero(np.triu(d <= eps, k=1)))
+    ]
+
+
 class TestBatchedQueries:
     @pytest.mark.parametrize("eps", [0.5, 2.0, 8.0])
-    def test_range_query_batched_equals_scalar(self, walk_engines, eps):
+    def test_range_query_matches_oracle(self, walk_engines, eps):
         rel, engines = walk_engines
         for eng in engines:
             for t in transform_pool(eng.space):
-                series = rel.get(7)
-                spec = eng.query_spectrum(series)
-                pt = eng.query_point(series)
-                args = (eng.tree, eng.space, eng.ground_spectra, spec, pt, eps)
-                a = q.range_query(*args, transformation=t, batched=True)
-                b = q.range_query(*args, transformation=t, batched=False)
-                assert matches_equal(a, b)
+                want = oracle_dists(eng, rel.matrix, rel.get(7), t)
+                got = eng.range_query(rel.get(7), eps, transformation=t)
+                assert sorted(r for r, _ in got) == list(np.flatnonzero(want <= eps))
+                for r, d in got:
+                    assert d == pytest.approx(want[r], abs=1e-8)
 
     @pytest.mark.parametrize("k", [1, 5, 12])
-    def test_knn_query_batched_equals_scalar(self, walk_engines, k):
+    def test_knn_query_matches_kernel_less_reference(self, walk_engines, k):
         rel, engines = walk_engines
         for eng in engines:
             for t in transform_pool(eng.space):
@@ -215,9 +229,13 @@ class TestBatchedQueries:
                 spec = eng.query_spectrum(series)
                 pt = eng.query_point(series)
                 args = (eng.tree, eng.space, eng.ground_spectra, spec, pt, k)
-                a = q.knn_query(*args, transformation=t, batched=True)
-                b = q.knn_query(*args, transformation=t, batched=False)
+                ref_view = q._make_view(eng.tree, eng.space, t)
+                ref_view.kernel = None
+                a = q.knn_query(*args, transformation=t)
+                b = q.knn_query(*args, transformation=t, view=ref_view)
                 assert matches_equal(a, b)
+                want = oracle_dists(eng, rel.matrix, series, t)
+                assert [r for r, _ in a] == list(np.argsort(want, kind="stable")[:k])
 
     def test_engine_batch_apis_equal_single_query_loop(self, walk_engines):
         rel, engines = walk_engines
@@ -246,24 +264,20 @@ class TestBatchedQueries:
 
 
 class TestBatchedJoins:
-    def test_all_pairs_scan_batched_equals_scalar(self, walk_engines):
+    def test_all_pairs_scan_matches_oracle(self, walk_engines):
         rel, engines = walk_engines
         eng = engines[0]
         for t in (None, moving_average(N, 4)):
+            want = pair_oracle(spectra(ground_rows("normal", rel.matrix), t), 1.5)
             for abandon in (False, True):
-                a = q.all_pairs_scan(
-                    eng.ground_spectra, 1.5, t, early_abandon=abandon, batched=True
-                )
-                b = q.all_pairs_scan(
-                    eng.ground_spectra, 1.5, t, early_abandon=abandon, batched=False
-                )
-                assert triples_equal(a, b)
+                got = q.all_pairs_scan(eng.ground_spectra, 1.5, t, early_abandon=abandon)
+                assert triples_equal(got, want)
 
     def test_all_pairs_scan_transform_hoist_regression(self, walk_engines):
         """The O(m) transform hoist must not change any reported pair.
 
         Reference: re-apply the transformation inside the inner loop (the
-        seed's O(m²) behaviour) and compare all four method variants.
+        seed's O(m²) behaviour) and compare both method variants.
         """
         rel, engines = walk_engines
         eng = engines[0]
@@ -279,32 +293,33 @@ class TestBatchedJoins:
                 if d <= eps:
                     want.append((i, j, d))
         for abandon in (False, True):
-            for batched in (True, False):
-                got = q.all_pairs_scan(
-                    spectra, eps, t, early_abandon=abandon, batched=batched
-                )
-                assert triples_equal(got, want)
+            got = q.all_pairs_scan(spectra, eps, t, early_abandon=abandon)
+            assert triples_equal(got, want)
 
-    def test_all_pairs_index_and_tree_join_batched_equal_scalar(self, walk_engines):
+    def test_all_pairs_index_and_tree_join_match_kernel_less_reference(
+        self, walk_engines
+    ):
         rel, engines = walk_engines
         eng = engines[0]
         for t in (None, moving_average(N, 4)):
             ai = q.all_pairs_index(
-                eng.tree, eng.space, eng.ground_spectra, eng.points, 1.5, t,
-                batched=True,
+                eng.tree, eng.space, eng.ground_spectra, eng.points, 1.5, t
             )
-            bi = q.all_pairs_index(
-                eng.tree, eng.space, eng.ground_spectra, eng.points, 1.5, t,
-                batched=False,
-            )
+            at = q.all_pairs_tree_join(eng.tree, eng.space, eng.ground_spectra, 1.5, t)
+            eng.tree._kernel_disabled = True  # the recursive reference joins
+            try:
+                bi = q.all_pairs_index(
+                    eng.tree, eng.space, eng.ground_spectra, eng.points, 1.5, t
+                )
+                bt = q.all_pairs_tree_join(
+                    eng.tree, eng.space, eng.ground_spectra, 1.5, t
+                )
+            finally:
+                eng.tree._kernel_disabled = False
             assert triples_equal(ai, bi)
-            at = q.all_pairs_tree_join(
-                eng.tree, eng.space, eng.ground_spectra, 1.5, t, batched=True
-            )
-            bt = q.all_pairs_tree_join(
-                eng.tree, eng.space, eng.ground_spectra, 1.5, t, batched=False
-            )
             assert triples_equal(at, bt)
+            want = pair_oracle(spectra(ground_rows("normal", rel.matrix), t), 1.5)
+            assert triples_equal(ai, want)
 
     def test_all_methods_agree_under_transformation(self, walk_engines):
         rel, engines = walk_engines
@@ -374,19 +389,11 @@ class TestBatchedTraversalMetrics:
 class TestVerificationStats:
     def test_range_query_splits_abandoned_and_completed(self, walk_engines):
         rel, engines = walk_engines
-        for batched in (True, False):
+        for kernel_disabled in (False, True):
             eng = SimilarityEngine(rel)
+            eng.tree._kernel_disabled = kernel_disabled
             eng.stats.reset()
-            got = eng.range_query(rel.get(0), 1.0) if batched else q.range_query(
-                eng.tree,
-                eng.space,
-                eng.ground_spectra,
-                eng.query_spectrum(rel.get(0)),
-                eng.query_point(rel.get(0)),
-                1.0,
-                stats=eng.stats,
-                batched=False,
-            )
+            got = eng.range_query(rel.get(0), 1.0)
             s = eng.stats
             assert s.verifications_completed == len(got)
             assert (

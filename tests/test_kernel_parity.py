@@ -67,6 +67,11 @@ def kernel_view(engine, transformation=None) -> TransformedIndexView:
     return view
 
 
+def probe_one(view, rect, **kwargs) -> np.ndarray:
+    """The ids one query rectangle reaches: a batch-of-one probe."""
+    return view.search_many(rect.lows[None, :], rect.highs[None, :], **kwargs)[0]
+
+
 def transform_for(coord):
     # Theorem 2 limits S_rect to real stretch vectors; S_pol (Theorem 3)
     # takes the paper's moving average (complex stretch, zero shift).
@@ -87,7 +92,7 @@ class TestKernelParity:
             for i in (0, 7, 33):
                 for eps in (1.0, 4.0, 12.0):
                     qrect = eng.space.search_rect(eng.query_point(matrix[i]), eps)
-                    got = sorted(kv.search_ids(qrect).tolist())
+                    got = sorted(probe_one(kv, qrect).tolist())
                     want = sorted(e.child for e in rv.search(qrect))
                     assert got == want, (build_name, coord, symmetry, i, eps)
 
@@ -113,6 +118,7 @@ class TestKernelParity:
         eng = build_engine(matrix, coord, symmetry, build_kwargs)
         t = transform_for(coord)
         for transformation in (None, t):
+            rv = reference_view(eng, transformation)
             for i in (3, 41):
                 for k in (1, 5, COUNT + 10):
                     args = (
@@ -120,9 +126,7 @@ class TestKernelParity:
                         eng.query_spectrum(matrix[i]), eng.query_point(matrix[i]), k,
                     )
                     got = q.knn_query(*args, transformation=transformation)
-                    want = q.knn_query(
-                        *args, transformation=transformation, batched=False
-                    )
+                    want = q.knn_query(*args, transformation=transformation, view=rv)
                     # identical ids and identical distance multisets
                     assert [r for r, _ in got] == [r for r, _ in want]
                     assert np.allclose(
@@ -160,10 +164,11 @@ class TestKernelParity:
         got = q.all_pairs_index(
             eng.tree, eng.space, eng.ground_spectra, eng.points, eps, t,
         )
+        eng.tree._kernel_disabled = True  # the recursive reference join
         want = q.all_pairs_index(
             eng.tree, eng.space, eng.ground_spectra, eng.points, eps, t,
-            batched=False,
         )
+        eng.tree._kernel_disabled = False
         assert [(i, j, round(d, 9)) for i, j, d in got] == [
             (i, j, round(d, 9)) for i, j, d in want
         ]
@@ -179,6 +184,20 @@ class TestFrozenImage:
         assert clone.size == len(eng.relation)
         assert clone.height == eng.tree.height
 
+    def test_arrays_are_read_only(self, matrix):
+        """A write through leaf_entries()' views would corrupt the kernel."""
+        eng = build_engine(matrix, "polar", False, BUILDS[0][1])
+        kernel = frozen_kernel(eng.tree)
+        lows, highs, ids = kernel.leaf_entries()
+        with pytest.raises(ValueError):
+            lows[0] = 0.0
+        with pytest.raises(ValueError):
+            ids[0] = -1
+        copies = {k: np.array(v) for k, v in kernel.to_arrays().items()}
+        loaded = FrozenRTree.from_arrays(copies)
+        for key, arr in loaded.to_arrays().items():
+            assert key == "meta" or not arr.flags.writeable, key
+
     def test_mutation_invalidates_cache(self, matrix):
         eng = build_engine(matrix, "polar", False, BUILDS[1][1])
         before = frozen_kernel(eng.tree)
@@ -188,17 +207,18 @@ class TestFrozenImage:
         assert after is not before
         assert after.size == before.size + 1
         qrect = eng.space.search_rect(eng.points[0], 1e-9)
-        assert 9999 in after.range_ids(qrect.lows, qrect.highs).tolist()
+        hits = after.range_ids_many(qrect.lows[None, :], qrect.highs[None, :])
+        assert 9999 in hits[0].tolist()
 
     def test_long_lived_view_sees_mutations(self, matrix):
         """A view built before a mutation must not serve a stale kernel."""
         eng = build_engine(matrix, "polar", False, BUILDS[1][1])
         view = kernel_view(eng)
         qrect = eng.space.search_rect(eng.points[0], 1e-9)
-        before = view.search_ids(qrect).tolist()
+        before = probe_one(view, qrect).tolist()
         assert 9999 not in before
         eng.tree.insert_point(eng.points[0], 9999)
-        after = view.search_ids(qrect).tolist()
+        after = probe_one(view, qrect).tolist()
         assert 9999 in after
         assert sorted(after) == sorted(e.child for e in view.search(qrect))
 
@@ -228,13 +248,14 @@ class TestFrozenImage:
         eng.tree.insert_point(eng.points[1], 8888)
         view = eng.view()
         qrect = eng.space.search_rect(eng.points[1], 1e-9)
-        assert 8888 in view.search_ids(qrect).tolist()
+        assert 8888 in probe_one(view, qrect).tolist()
 
     def test_empty_tree_freezes_and_answers(self):
         tree = RStarTree(3)
         kernel = frozen_kernel(tree)
         assert kernel.size == 0
-        assert kernel.range_ids(np.zeros(3), np.ones(3)).size == 0
+        hits = kernel.range_ids_many(np.zeros((1, 3)), np.ones((1, 3)))
+        assert len(hits) == 1 and hits[0].size == 0
         assert list(kernel.nearest_stream(np.zeros(3))) == []
         assert kernel.knn_batch(np.zeros((2, 3)), 4, lambda qi, r: r) == [[], []]
 
@@ -243,7 +264,7 @@ class TestFrozenImage:
         fstats = FrontierStats()
         kv = kernel_view(eng)
         qrect = eng.space.search_rect(eng.query_point(matrix[0]), 5.0)
-        kv.search_ids(qrect, fstats=fstats)
+        probe_one(kv, qrect, fstats=fstats)
         assert fstats.nodes_expanded > 0
         assert fstats.entries_scanned >= fstats.nodes_expanded
         assert fstats.frontier_peak > 0

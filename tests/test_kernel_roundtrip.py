@@ -69,15 +69,13 @@ class TestSavezRoundTrip:
         centers = rng.normal(0, 5, size=(6, DIM))
         for r in (0.5, 3.0, 20.0):
             lows, highs = centers - r, centers + r
-            for c, lo, hi in zip(centers, lows, highs):
-                np.testing.assert_array_equal(
-                    np.sort(kernel.range_ids(lo, hi)),
-                    np.sort(loaded.range_ids(lo, hi)),
-                )
             got = kernel.range_ids_many(lows, highs)
             want = loaded.range_ids_many(lows, highs)
-            for a, b in zip(got, want):
+            for i, (a, b) in enumerate(zip(got, want)):
                 np.testing.assert_array_equal(np.sort(a), np.sort(b))
+                # a batch of one (bounds broadcast) agrees with its row
+                one = loaded.range_ids_many(lows[i : i + 1], highs[i : i + 1])
+                np.testing.assert_array_equal(np.sort(one[0]), np.sort(a))
 
     def test_leaf_entries_identical(self, build, tmp_path):
         kernel = frozen_kernel(build_tree(build))

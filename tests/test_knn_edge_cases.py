@@ -117,6 +117,20 @@ class TestTies:
         for g, w in zip(got, want):
             assert_same(g, w)
 
+    @pytest.mark.parametrize("mavg", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_kernel_less_reference_equals_scan(self, dup_engine, mavg, k, monkeypatch):
+        """The degraded tier's best-first walk breaks ties by id too."""
+        monkeypatch.setattr(dup_engine.tree, "_kernel_disabled", True, raising=False)
+        t = moving_average(N, 8) if mavg else None
+        spec = QuerySpec(kind="knn", series=np.zeros(N), k=k, transformation=t)
+        assert dup_engine.explain(spec)["degraded_from"] == "frozen-kernel"
+        for series in random_walks(20, N, seed=2024):
+            assert_same(
+                knn(dup_engine, series, k, "index", t),
+                knn(dup_engine, series, k, "scan", t),
+            )
+
     def test_copies_of_the_query_come_back_in_id_order(self, dup_engine, matrix):
         # matrix[3] sits at ids 3, 2*COUNT-4 and the three appended rows
         got = knn(dup_engine, matrix[3], 5, "index", None)

@@ -1,11 +1,12 @@
-"""Plan-API parity: ``plan(spec).execute()`` ≡ the pre-redesign paths.
+"""Plan-API parity: ``plan(spec).execute()`` ≡ the oracle and the library paths.
 
-The redesign's acceptance bar: compiling a :class:`QuerySpec` and
-executing the resulting operator tree must return answers identical to
-the original scalar/batch implementations in :mod:`repro.core.queries`
-and :mod:`repro.scan` — for range, k-NN and all four join methods, with
-and without transformations, on both access paths, scalar and batched.
-Plus: EXPLAIN output shape, planner routing, and error behaviour.
+Compiling a :class:`QuerySpec` and executing the resulting operator tree
+must return the exact answers — checked against the numpy oracle of
+``tests/test_batch_oracle.py`` and against the functions in
+:mod:`repro.core.queries` and :mod:`repro.scan` — for range, k-NN and
+all four join methods, with and without transformations, on every access
+path, for a single series (a batch of one) and for batches.  Plus:
+EXPLAIN output shape, planner routing, and error behaviour.
 """
 
 import numpy as np
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from repro.core import queries as q
 from repro.core.engine import SimilarityEngine
+from repro.core.features import NormalFormSpace
 from repro.core.plan import QuerySpec, dist_plan
 from repro.core.transforms import identity, moving_average, reverse, scale
 from repro.data import SequenceRelation
 from repro.data.synthetic import random_walks
 from repro.scan import scan_knn, scan_range
+from test_batch_oracle import gap_eps, oracle_distances
 
 N = 64
 
@@ -44,6 +47,24 @@ def triples_equal(a, b):
     ]
 
 
+def oracle_row(relation, series, t=None, transform_query=False):
+    """``D(T(record), q)`` (or ``T(q)``) for every record, numpy only."""
+    return oracle_distances(
+        "normal", relation.matrix, np.asarray(series)[None, :], t, transform_query
+    )[0]
+
+
+def assert_range_oracle(got, want, eps, tol=1e-9):
+    """``got`` is the oracle's answer set; rows within ``tol`` of eps may go
+    either way (the oracle and the engine round differently)."""
+    ids = {r for r, _ in got}
+    assert set(np.flatnonzero(want < eps - tol)) <= ids
+    assert ids <= set(np.flatnonzero(want <= eps + tol))
+    for r, d in got:
+        assert d == pytest.approx(want[r], abs=1e-8)
+    assert [d for _, d in got] == sorted(d for _, d in got)
+
+
 TRANSFORMS = {
     "none": lambda n: None,
     "identity": lambda n: identity(n),
@@ -59,7 +80,7 @@ TRANSFORMS = {
 class TestRangeParity:
     @pytest.mark.parametrize("tname", list(TRANSFORMS))
     @pytest.mark.parametrize("transform_query", [False, True])
-    def test_index_plan_matches_legacy_range(
+    def test_index_plan_matches_oracle(
         self, relation, engine, tname, transform_query
     ):
         t = TRANSFORMS[tname](N)
@@ -69,12 +90,8 @@ class TestRangeParity:
             transform_query=transform_query, method="index",
         )
         got = engine.plan(spec).execute()
-        q_spec, q_point = engine._query_reps(series, t, transform_query)
-        want = q.range_query(
-            engine.tree, engine.space, engine.ground_spectra,
-            q_spec, q_point, 4.0, transformation=t,
-        )
-        assert matches_equal(got, want)
+        want = oracle_row(relation, series, t, transform_query)
+        assert_range_oracle(got, want, 4.0)
 
     @settings(
         max_examples=15, deadline=None,
@@ -87,7 +104,7 @@ class TestRangeParity:
         method=st.sampled_from(["index", "scan", "auto"]),
     )
     def test_every_access_path_is_exact(self, relation, engine, rid, eps, tname, method):
-        """Property: any spec routing returns the legacy index answer set."""
+        """Property: any spec routing returns the oracle's answer set."""
         t = TRANSFORMS[tname](N)
         series = relation.get(rid)
         spec = QuerySpec(
@@ -95,12 +112,7 @@ class TestRangeParity:
             transform_query=True, method=method,
         )
         got = engine.plan(spec).execute()
-        q_spec, q_point = engine._query_reps(series, t, True)
-        want = q.range_query(
-            engine.tree, engine.space, engine.ground_spectra,
-            q_spec, q_point, eps, transformation=t,
-        )
-        assert matches_equal(got, want)
+        assert_range_oracle(got, oracle_row(relation, series, t, True), eps)
 
     def test_scan_plan_matches_seqscan(self, relation, engine):
         series = relation.get(9)
@@ -155,7 +167,7 @@ class TestRangeParity:
 
 
 # ----------------------------------------------------------------------
-# batch parity (the fused BatchIndexProbe)
+# batch parity (the fused IndexProbe over many query rows)
 # ----------------------------------------------------------------------
 class TestBatchParity:
     @pytest.mark.parametrize("tname", ["none", "mavg10", "reverse"])
@@ -219,21 +231,83 @@ class TestBatchParity:
 
 
 # ----------------------------------------------------------------------
+# a single series is a batch of one, on every access path
+# ----------------------------------------------------------------------
+class TestSingleSeriesPlans:
+    """One 1-D series through index / scan / auto in both coordinate
+    systems, with no transformation, a transformation on the data side,
+    and the symmetric ``transform_query`` form — answers from the oracle,
+    EXPLAIN reporting a non-batch plan over the one query row."""
+
+    @pytest.fixture(scope="class")
+    def engines(self, relation):
+        return {
+            "polar": SimilarityEngine(relation),
+            "rect": SimilarityEngine(
+                relation, space=NormalFormSpace(N, 2, coord="rect")
+            ),
+        }
+
+    @pytest.mark.parametrize("method", ["index", "scan", "auto"])
+    @pytest.mark.parametrize("coord", ["rect", "polar"])
+    @pytest.mark.parametrize("case", ["none", "transform", "transform_query"])
+    def test_range_and_knn_match_oracle(self, relation, engines, method, coord, case):
+        eng = engines[coord]
+        # Theorem 2 limits rectangular coordinates to real stretches; the
+        # moving average (a complex stretch) is safe in polar ones only.
+        t = None
+        if case != "none":
+            t = moving_average(N, 10) if coord == "polar" else scale(N, 2.0)
+        tq = case == "transform_query"
+        series = random_walks(1, N, seed=808)[0]
+        want = oracle_row(relation, series, t, tq)
+        eps = gap_eps(want, 0.05)
+
+        plan = eng.plan(
+            QuerySpec(kind="range", series=series, eps=eps, transformation=t,
+                      transform_query=tq, method=method)
+        )
+        assert_range_oracle(plan.execute(), want, eps)
+        info = plan.explain()
+        assert info["batch"] is False
+        root = info["plan"]
+        if info["access_path"] == "index":
+            assert root["op"] == "Verify"
+            assert root["children"][0]["op"] == "IndexProbe"
+            assert root["children"][0]["queries"] == 1
+        else:
+            assert root["op"] == "SeqScan" and root["queries"] == 1
+        if method != "auto":
+            assert info["access_path"] == method
+
+        knn = eng.plan(
+            QuerySpec(kind="knn", series=series, k=7, transformation=t,
+                      transform_query=tq, method=method)
+        )
+        got = knn.execute()
+        order = np.argsort(want, kind="stable")[:7]
+        assert [r for r, _ in got] == list(order)
+        assert [d for _, d in got] == pytest.approx(list(want[order]), abs=1e-8)
+        info = knn.explain()
+        assert info["batch"] is False
+        assert info["plan"]["op"] == ("SeqScan" if method == "scan" else "KnnSearch")
+        assert info["plan"]["queries"] == 1
+
+
+# ----------------------------------------------------------------------
 # k-NN parity
 # ----------------------------------------------------------------------
 class TestKnnParity:
     @pytest.mark.parametrize("tname", list(TRANSFORMS))
-    def test_index_plan_matches_legacy_knn(self, relation, engine, tname):
+    def test_index_plan_matches_oracle_knn(self, relation, engine, tname):
         t = TRANSFORMS[tname](N)
         series = relation.get(33)
         spec = QuerySpec(kind="knn", series=series, k=9, transformation=t)
         got = engine.plan(spec).execute()
-        q_spec, q_point = engine._query_reps(series, t, False)
-        want = q.knn_query(
-            engine.tree, engine.space, engine.ground_spectra,
-            q_spec, q_point, 9, transformation=t,
-        )
-        assert matches_equal(got, want)
+        want = oracle_row(relation, series, t)
+        order = np.argsort(want, kind="stable")[:9]
+        assert [r for r, _ in got] == list(order)
+        assert [d for _, d in got] == pytest.approx(list(want[order]), abs=1e-8)
 
     def test_scan_knn_agrees_with_index_knn(self, relation, engine):
         series = relation.get(2)
@@ -387,7 +461,8 @@ class TestExplain:
                       method="index")
         )
         assert info["batch"] is True
-        assert info["plan"]["children"][0]["op"] == "BatchIndexProbe"
+        assert info["plan"]["children"][0]["op"] == "IndexProbe"
+        assert info["plan"]["children"][0]["queries"] == 4
 
     def test_unknown_kind_and_method_rejected(self, relation, engine):
         with pytest.raises(ValueError):

@@ -76,17 +76,12 @@ class TestSeamQueries:
         base = series_with_phase(np.pi - 0.05)
         q_spec = t.apply_spectrum(engine.query_spectrum(base))
         q_point = engine.space.point_from_spectrum(q_spec)
-        from repro.core.queries import range_query
+        from repro.core import ops
 
-        got = range_query(
-            engine.tree,
-            engine.space,
-            engine.ground_spectra,
-            q_spec,
-            q_point,
-            0.5,
-            transformation=t,
-        )
+        # The production probe → verify chain, fed the wrapped query point.
+        probe = ops.IndexProbe(q_point[None, :], 0.5, transformation=t)
+        verify = ops.Verify(probe, q_spec[None, :], 0.5, transformation=t)
+        got = verify.execute(ops.ExecContext(engine))[0]
         ids = {r for r, _ in got}
         assert rel.id_of("p+3.09") in ids  # itself, rotated through the seam
         assert rel.id_of("p-3.09") in ids

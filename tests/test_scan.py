@@ -19,9 +19,8 @@ def engine():
 
 
 class TestScanRange:
-    @pytest.mark.parametrize("early", [True, False])
     @pytest.mark.parametrize("use_t", [False, True])
-    def test_matches_index_answers(self, engine, early, use_t):
+    def test_matches_index_answers(self, engine, use_t):
         """Index and scan must return exactly the same answer set."""
         t = moving_average(64, 10) if use_t else None
         q = engine.relation.get(5)
@@ -31,7 +30,6 @@ class TestScanRange:
             engine.query_spectrum(q),
             4.0,
             transformation=t,
-            early_abandon=early,
         )
         assert [(r, round(d, 8)) for r, d in via_index] == [
             (r, round(d, 8)) for r, d in via_scan
@@ -164,17 +162,6 @@ class TestScanOracle:
         dists = oracle_distances(walk_spectra, q, t)
         got = scan_knn(walk_spectra, q, ROWS + 25, transformation=t)
         assert_matches(got, dists, oracle_order(dists))
-
-    @pytest.mark.parametrize("tname", TRANSFORMS)
-    def test_early_abandon_flag_does_not_change_answer(
-        self, walk_spectra, query_spectra, tname
-    ):
-        t = TRANSFORMS[tname]()
-        q = query_spectra[1]
-        eps = gap_eps(oracle_distances(walk_spectra, q, t), 0.4)
-        on = scan_range(walk_spectra, q, eps, transformation=t, early_abandon=True)
-        off = scan_range(walk_spectra, q, eps, transformation=t, early_abandon=False)
-        assert on and on == off
 
     @pytest.mark.parametrize("tname", TRANSFORMS)
     def test_duplicate_rows_come_back_in_id_order(self, walk_spectra, query_spectra, tname):
